@@ -207,25 +207,34 @@ let run_fork_bench ~jobs cfg =
     }
   in
   let benches = List.filteri (fun i _ -> i < 2) Suites.training_set in
-  let totals outcomes =
+  let records outcomes =
     List.fold_left
-      (fun (recs, invs) (o : Harness.Collection.outcome) ->
-        ( recs
-          + List.length
-              o.Harness.Collection.merged.Tessera_collect.Archive.records,
-          invs
-          + List.fold_left
-              (fun a (s : Tessera_collect.Collector.stats) ->
-                a + s.Tessera_collect.Collector.entry_invocations)
-              0 o.Harness.Collection.stats ))
-      (0, 0) outcomes
+      (fun a (o : Harness.Collection.outcome) ->
+        a
+        + List.length o.Harness.Collection.merged.Tessera_collect.Archive.records)
+      0 outcomes
+  in
+  let stat outcomes f =
+    List.fold_left
+      (fun a (o : Harness.Collection.outcome) ->
+        List.fold_left
+          (fun a (s : Tessera_collect.Collector.stats) -> a + f s)
+          a o.Harness.Collection.stats)
+      0 outcomes
+  in
+  let trunk_invs s = s.Tessera_collect.Collector.entry_invocations in
+  (* every entry invocation executed: trunk plus branches *)
+  let executed s =
+    trunk_invs s + s.Tessera_collect.Collector.branch_invocations
   in
   let t0 = Unix.gettimeofday () in
   let sweep =
     Pool.run_list ~jobs (Harness.Collection.collect_bench ~cfg) benches
   in
   let sweep_s = Unix.gettimeofday () -. t0 in
-  let sweep_records, sweep_invs = totals sweep in
+  let sweep_records = records sweep in
+  let sweep_invs = stat sweep trunk_invs in
+  let sweep_executed = stat sweep executed in
   let t0 = Unix.gettimeofday () in
   let forked =
     List.map
@@ -233,17 +242,15 @@ let run_fork_bench ~jobs cfg =
       benches
   in
   let fork_s = Unix.gettimeofday () -. t0 in
-  let fork_records, fork_invs = totals forked in
-  let fork_stat f =
-    List.fold_left
-      (fun a (o : Harness.Collection.outcome) ->
-        List.fold_left
-          (fun a (s : Tessera_collect.Collector.stats) -> a + f s)
-          a o.Harness.Collection.stats)
-      0 forked
-  in
+  let fork_records = records forked in
+  let fork_stat = stat forked in
+  let fork_invs = fork_stat trunk_invs in
+  let fork_executed = fork_stat executed in
   let forks = fork_stat (fun s -> s.Tessera_collect.Collector.forks) in
   let branches = fork_stat (fun s -> s.Tessera_collect.Collector.branches) in
+  let branch_runs =
+    fork_stat (fun s -> s.Tessera_collect.Collector.branch_runs)
+  in
   let branch_invs =
     fork_stat (fun s -> s.Tessera_collect.Collector.branch_invocations)
   in
@@ -254,18 +261,28 @@ let run_fork_bench ~jobs cfg =
   let sweep_rpi = rpi sweep_records sweep_invs in
   let fork_rpi = rpi fork_records fork_invs in
   let gain = fork_rpi /. Float.max 1e-9 sweep_rpi in
+  (* the wall-time economy: records per host second and per entry
+     invocation actually executed, branches included *)
+  let sweep_rpe = rpi sweep_records sweep_executed in
+  let fork_rpe = rpi fork_records fork_executed in
+  let rps records s = float_of_int records /. Float.max 1e-9 s in
+  let sweep_rps = rps sweep_records sweep_s in
+  let fork_rps = rps fork_records fork_s in
   Format.fprintf fmt
     "sweep collector : %5d records / %5d invocations = %.3f records/inv \
-     (%.1fs)@."
-    sweep_records sweep_invs sweep_rpi sweep_s;
+     (%.1fs, %.1f records/s)@."
+    sweep_records sweep_invs sweep_rpi sweep_s sweep_rps;
   Format.fprintf fmt
     "fork collector  : %5d records / %5d trunk invocations = %.3f \
-     records/inv (%.1fs)@."
-    fork_records fork_invs fork_rpi fork_s;
+     records/inv (%.1fs, %.1f records/s)@."
+    fork_records fork_invs fork_rpi fork_s fork_rps;
   Format.fprintf fmt
-    "                  %d fork points, %d branches, %d branch invocations, \
-     %d skipped@."
-    forks branches branch_invs skipped;
+    "                  %d fork points, %d branches in %d branch runs, %d \
+     branch invocations, %d skipped@."
+    forks branches branch_runs branch_invs skipped;
+  Format.fprintf fmt
+    "records per executed invocation: sweep %.3f, fork %.3f@." sweep_rpe
+    fork_rpe;
   Format.fprintf fmt "records-per-invocation gain: %.1fx (target >= 5x)@." gain;
   (* -- differential oracle on the first training benchmark, down-scaled:
      correctness, not a timing figure -- *)
@@ -321,12 +338,17 @@ let run_fork_bench ~jobs cfg =
       \  \"fork_trunk_invocations\": %d,\n\
       \  \"fork_points\": %d,\n\
       \  \"fork_branches\": %d,\n\
+      \  \"fork_branch_runs\": %d,\n\
       \  \"fork_branch_invocations\": %d,\n\
       \  \"fork_skipped_decisions\": %d,\n\
       \  \"fork_wall_s\": %.3f,\n\
       \  \"records_per_invocation_sweep\": %.4f,\n\
       \  \"records_per_invocation_fork\": %.4f,\n\
       \  \"records_per_invocation_gain\": %.4f,\n\
+      \  \"records_per_wall_s_sweep\": %.4f,\n\
+      \  \"records_per_wall_s_fork\": %.4f,\n\
+      \  \"records_per_executed_invocation_sweep\": %.4f,\n\
+      \  \"records_per_executed_invocation_fork\": %.4f,\n\
       \  \"oracle_records\": %d,\n\
       \  \"oracle_branches\": %d,\n\
       \  \"oracle_snapshot_wall_s\": %.3f,\n\
@@ -335,8 +357,8 @@ let run_fork_bench ~jobs cfg =
        }\n"
       quick
       (host_json_fields ~jobs) sweep_records sweep_invs sweep_s fork_records
-      fork_invs forks branches branch_invs skipped fork_s sweep_rpi fork_rpi
-      gain
+      fork_invs forks branches branch_runs branch_invs skipped fork_s sweep_rpi
+      fork_rpi gain sweep_rps fork_rps sweep_rpe fork_rpe
       (List.length snap_archive.Tessera_collect.Archive.records)
       snap_stats.Tessera_collect.Collector.branches snap_s reexec_s oracle_ok
   in

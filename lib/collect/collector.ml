@@ -63,6 +63,7 @@ type stats = {
   compilations : int;
   forks : int;
   branches : int;
+  branch_runs : int;
   branch_invocations : int;
   skipped_decisions : int;
 }
@@ -229,18 +230,39 @@ let run_sweep ~config ~program ~benchmark ~entry_args () =
       compilations = Engine.compile_count engine;
       forks = 0;
       branches = 0;
+      branch_runs = 0;
       branch_invocations = 0;
       skipped_decisions = 0;
     } )
 
 (* ------------------------------------------------------------------ *)
 (* Compilation forking: one warm trunk run decides when/where to        *)
-(* compile; at each decision the collector forks one branch per         *)
-(* candidate modifier and measures every candidate from the same        *)
-(* snapshot state (DESIGN.md §15).                                      *)
+(* compile; at each entry boundary the collector forks one branch per   *)
+(* candidate index and measures the k-th candidate of every settled     *)
+(* decision from the same snapshot state (DESIGN.md §15).               *)
 (* ------------------------------------------------------------------ *)
 
-type decision = { d_meth : int; d_level : Plan.level }
+type decision = { meth : int; level : Plan.level }
+
+let take_group ~settled decisions =
+  let taken = Hashtbl.create 8 in
+  let group = ref [] in
+  for _ = 1 to Queue.length decisions do
+    let d = Queue.pop decisions in
+    if settled d.meth && not (Hashtbl.mem taken d.meth) then begin
+      Hashtbl.add taken d.meth ();
+      group := d :: !group
+    end
+    else Queue.push d decisions
+  done;
+  List.rev !group
+
+(* A measured method's record slot inside one branch. *)
+type slot = {
+  sig_id : int;
+  mutable record : Record.t option;
+  mutable closed : bool;
+}
 
 let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
     =
@@ -258,13 +280,13 @@ let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
     List.map
       (fun level ->
         let seed = Prng.next_int64 rng in
-        let mods = Array.to_list (Queue_ctrl.generate ~seed params.strategy) in
+        let mods = Queue_ctrl.generate ~seed params.strategy in
         let mods =
-          if params.fanout > 0 then
-            List.filteri (fun i _ -> i < params.fanout) mods
+          if params.fanout > 0 && params.fanout < Array.length mods then
+            Array.sub mods 0 params.fanout
           else mods
         in
-        (level, Modifier.null :: mods))
+        (level, Array.append [| Modifier.null |] mods))
       config.levels
   in
   let engine_config =
@@ -288,7 +310,7 @@ let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
       && not (Hashtbl.mem seen (meth_id, level))
     then begin
       Hashtbl.add seen (meth_id, level) ();
-      Queue.push { d_meth = meth_id; d_level = level } decisions
+      Queue.push { meth = meth_id; level } decisions
     end
   in
   let trunk =
@@ -303,8 +325,13 @@ let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
       "collect_fork_decisions_total"
   in
   let m_branches =
-    Metrics.counter m ~help:"Forked branches run (one per candidate modifier)"
+    Metrics.counter m
+      ~help:"(decision, candidate) pairs measured in branches"
       "collect_fork_branches_total"
+  in
+  let m_branch_runs =
+    Metrics.counter m ~help:"Forked branch engines run (one per candidate index)"
+      "collect_fork_branch_runs_total"
   in
   let m_branch_invs =
     Metrics.counter m ~help:"Entry invocations executed inside branches"
@@ -312,42 +339,58 @@ let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
   in
   let m_skipped =
     Metrics.counter m
-      ~help:"Fork decisions dropped (install still pending at end of run)"
+      ~help:"Fork decisions never expanded (still waiting at end of run)"
       "collect_fork_skipped_total"
   in
   let forks = ref 0 in
   let branches = ref 0 in
+  let branch_runs = ref 0 in
   let branch_invs = ref 0 in
-  let skipped = ref 0 in
-  (* One branch: measure [candidate] for decision [d] from the trunk
-     state at entry boundary [start_inv].  The record opens when the
-     requested compilation installs and closes early if the method is
-     recompiled again inside the branch (the version under measurement is
-     gone). *)
-  let run_branch ~sig_id ~(d : decision) ~start_inv candidate =
-    let record = ref None in
-    let closed = ref false in
+  (* One branch: measure [(index, decision, sig_id, candidate)]
+     [members] — at most one per method — from the trunk state at entry
+     boundary [start_inv].  Each member's record opens when its requested
+     compilation is queued, takes samples once it installs, and closes
+     early if the method is recompiled again inside the branch (the
+     version under measurement is gone); the branch ends once every
+     record is closed. *)
+  let run_branch ~start_inv members =
+    let slots = Array.make (Program.method_count program) None in
+    let requests =
+      List.map
+        (fun (i, d, sig_id, candidate) ->
+          let s = { sig_id; record = None; closed = false } in
+          slots.(d.meth) <- Some s;
+          (i, d, candidate, s))
+        members
+    in
+    let open_slots = ref (List.length members) in
     let active = ref false in
     let disc = ref 0 in
-    let invs = ref 0 in
     let on_compiled _e ~meth_id (comp : Compiler.compilation) =
-      if !active && meth_id = d.d_meth then
-        match !record with
-        | None ->
-            record :=
+      if !active then
+        match slots.(meth_id) with
+        | Some ({ closed = false; record = None; _ } as s) ->
+            s.record <-
               Some
-                (Record.make ~sig_id ~features:comp.Compiler.features
+                (Record.make ~sig_id:s.sig_id ~features:comp.Compiler.features
                    ~level:comp.Compiler.level ~modifier:comp.Compiler.modifier
                    ~compile_cycles:comp.Compiler.compile_cycles)
-        | Some _ -> closed := true
+        | Some ({ closed = false; record = Some _; _ } as s) ->
+            s.closed <- true;
+            decr open_slots
+        | Some { closed = true; _ } | None -> ()
     in
-    let on_sample _e ~meth_id ~cycles ~valid =
-      if !active && meth_id = d.d_meth && not !closed then
-        match !record with
-        | Some r ->
-            record := Some (Record.add_sample r ~cycles ~valid);
+    (* [on_compiled] fires when the compilation is queued, but the old
+       code keeps running until it installs — later in the group's queue
+       for later members — so only post-install samples are charged *)
+    let on_sample e ~meth_id ~cycles ~valid =
+      if !active then
+        match slots.(meth_id) with
+        | Some ({ closed = false; record = Some r; _ } as s)
+          when (Engine.state e meth_id).Engine.pending = None ->
+            s.record <- Some (Record.add_sample r ~cycles ~valid);
             if not valid then incr disc
-        | None -> () (* pre-install samples belong to the old version *)
+        | _ -> ()
     in
     let callbacks =
       {
@@ -372,79 +415,93 @@ let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
       else Engine.fork ~callbacks trunk
     in
     active := true;
-    Engine.request_compile branch ~meth_id:d.d_meth ~level:d.d_level
-      ~modifier:candidate ();
-    let i = ref start_inv in
-    while !invs < config.uses_per_modifier && not !closed do
-      ignore (Engine.invoke_entry branch (entry_args !i));
-      incr i;
+    List.iter
+      (fun (_, d, candidate, _) ->
+        Engine.request_compile branch ~meth_id:d.meth ~level:d.level
+          ~modifier:candidate ())
+      requests;
+    let invs = ref 0 in
+    while !invs < config.uses_per_modifier && !open_slots > 0 do
+      ignore (Engine.invoke_entry branch (entry_args (start_inv + !invs)));
       incr invs
     done;
-    (!record, !invs, !disc)
+    (List.map (fun (i, _, _, s) -> (i, s.record)) requests, !invs, !disc)
   in
-  let process_decision ~start_inv (d : decision) =
-    let st = Engine.state trunk d.d_meth in
-    (* fork only from a settled state: a pending install would race the
-       branch's own compilation request *)
-    if st.Engine.pending <> None then `Retry
-    else begin
-      let name = (Program.meth program d.d_meth).Meth.name in
-      let sig_id = Dictionary.intern dictionary name in
-      let cands = List.assoc d.d_level candidates in
-      incr forks;
-      Metrics.inc m_forks;
-      if !Trace.enabled then
-        Trace.span_begin
-          ~cycles:(Engine.clock_now trunk)
-          ~cat:"collect"
-          ~args:
-            [
-              ("meth", Trace.Str name);
-              ("level", Trace.Str (Plan.level_name d.d_level));
-              ("branches", Trace.Int (Int64.of_int (List.length cands)));
-            ]
-          "fork";
-      let results =
-        Pool.run_list ~jobs:params.jobs
-          (run_branch ~sig_id ~d ~start_inv)
-          cands
-      in
-      (* branches may have stamped this domain's trace source with their
-         own clocks: the trunk takes it back *)
-      Engine.claim_trace_source trunk;
-      List.iter
-        (fun (record, invs, disc) ->
-          incr branches;
-          Metrics.inc m_branches;
-          branch_invs := !branch_invs + invs;
-          Metrics.add m_branch_invs invs;
-          discarded := !discarded + disc;
-          match record with Some r -> store := r :: !store | None -> ())
-        results;
-      if !Trace.enabled then
-        Trace.span_end ~cycles:(Engine.clock_now trunk) ~cat:"collect" "fork";
-      `Done
-    end
+  (* One fork group: branch [k] measures the [k]-th candidate of every
+     decision that has one, so the group costs as many forked engines as
+     its widest candidate set, not one per (decision, candidate). *)
+  let fork_group ~start_inv group =
+    let members =
+      List.mapi
+        (fun i d ->
+          let name = (Program.meth program d.meth).Meth.name in
+          (i, d, Dictionary.intern dictionary name, List.assoc d.level candidates))
+        group
+    in
+    let width =
+      List.fold_left (fun w (_, _, _, c) -> max w (Array.length c)) 0 members
+    in
+    let runs =
+      List.init width (fun k ->
+          List.filter_map
+            (fun (i, d, sig_id, cands) ->
+              if k < Array.length cands then Some (i, d, sig_id, cands.(k))
+              else None)
+            members)
+    in
+    let pairs = List.fold_left (fun n r -> n + List.length r) 0 runs in
+    forks := !forks + List.length group;
+    Metrics.add m_forks (List.length group);
+    if !Trace.enabled then
+      Trace.span_begin
+        ~cycles:(Engine.clock_now trunk)
+        ~cat:"collect"
+        ~args:
+          [
+            ("boundary", Trace.Int (Int64.of_int start_inv));
+            ("decisions", Trace.Int (Int64.of_int (List.length group)));
+            ("branches", Trace.Int (Int64.of_int pairs));
+          ]
+        "fork";
+    let results = Pool.run_list ~jobs:params.jobs (run_branch ~start_inv) runs in
+    (* branches may have stamped this domain's trace source with their
+       own clocks: the trunk takes it back *)
+    Engine.claim_trace_source trunk;
+    branches := !branches + pairs;
+    Metrics.add m_branches pairs;
+    branch_runs := !branch_runs + width;
+    Metrics.add m_branch_runs width;
+    List.iter
+      (fun (_, invs, disc) ->
+        branch_invs := !branch_invs + invs;
+        Metrics.add m_branch_invs invs;
+        discarded := !discarded + disc)
+      results;
+    (* archive order is decision-major: each fork point's candidates stay
+       together, in candidate order *)
+    List.concat_map (fun (records, _, _) -> records) results
+    |> List.stable_sort (fun (i, _) (j, _) -> compare i j)
+    |> List.iter (function _, Some r -> store := r :: !store | _, None -> ());
+    if !Trace.enabled then
+      Trace.span_end ~cycles:(Engine.clock_now trunk) ~cat:"collect" "fork"
   in
+  let settled meth = (Engine.state trunk meth).Engine.pending = None in
   let invocations = ref 0 in
   while !invocations < config.max_entry_invocations do
     ignore (Engine.invoke_entry trunk (entry_args !invocations));
     incr invocations;
     (* Entry boundaries are the fork points: replaying [start_inv] whole
-       invocations is well-defined, mid-invocation states are not.  Each
-       queued decision is tried once per boundary and re-queued while its
-       trunk install is still pending. *)
-    let ready = Queue.length decisions in
-    for _ = 1 to ready do
-      let d = Queue.pop decisions in
-      match process_decision ~start_inv:!invocations d with
-      | `Done -> ()
-      | `Retry -> Queue.push d decisions
-    done
+       invocations is well-defined, mid-invocation states are not.  A
+       decision whose trunk install is still pending (it would race the
+       branch's own request), or whose method already has a decision in
+       this group, waits for the next boundary. *)
+    match take_group ~settled decisions with
+    | [] -> ()
+    | group -> fork_group ~start_inv:!invocations group
   done;
-  (* decisions still blocked on a pending install when the budget ran out *)
-  skipped := Queue.length decisions;
-  Metrics.add m_skipped !skipped;
+  (* decisions still waiting when the budget ran out *)
+  let skipped = Queue.length decisions in
+  Metrics.add m_skipped skipped;
   let records = List.rev !store in
   let records =
     List.filter (fun (r : Record.t) -> r.Record.invocations > 0) records
@@ -457,8 +514,9 @@ let run_fork ~config ~(params : fork_params) ~program ~benchmark ~entry_args ()
       compilations = Engine.compile_count trunk;
       forks = !forks;
       branches = !branches;
+      branch_runs = !branch_runs;
       branch_invocations = !branch_invs;
-      skipped_decisions = !skipped;
+      skipped_decisions = skipped;
     } )
 
 let run ?(config = default_config) ~program ~benchmark ~entry_args () =

@@ -13,7 +13,11 @@
     collector requests a recompilation at the method's current level,
     moving exploration to the next modifier.  A method whose queue is
     exhausted is never recompiled again; when every queue is exhausted the
-    collection terminates gracefully. *)
+    collection terminates gracefully.
+
+    {e Compilation forking} ([Fork]) instead keeps the trunk run
+    unmodified and measures every candidate modifier of a compile
+    decision in a forked branch (see {!fork_params}). *)
 
 module Plan = Tessera_opt.Plan
 module Values = Tessera_vm.Values
@@ -22,14 +26,22 @@ module Program = Tessera_il.Program
 (** Parameters of the compilation-forking collector ({!search} [Fork]).
 
     The trunk run is a plain adaptive execution (null modifiers); every
-    first compilation of a method at a collected level marks a {e fork
-    point}.  At the next entry-invocation boundary the collector
-    snapshots the engine ({!Tessera_jit.Engine.snapshot}) and runs one
-    {e branch} per candidate modifier: each branch recompiles the method
-    with its candidate and executes [uses_per_modifier] entry
-    invocations on its private clock, producing one record — so a single
-    warm run yields the full (method × modifier) training matrix instead
-    of one modifier per recompilation. *)
+    first compilation of a method at a collected level is a {e decision}
+    (a fork point).  At each entry-invocation boundary the {e settled}
+    decisions — no trunk install pending, at most one per method — form
+    one group; the rest wait for a later boundary.  The group runs one
+    {e branch} per candidate index [k]: a fork of the trunk
+    ({!Tessera_jit.Engine.fork}) that recompiles every decision's method
+    with its [k]-th candidate, in decision order, and executes up to
+    {!config.uses_per_modifier} entry invocations on its private
+    clock.  Each method's record opens with its requested compilation,
+    is charged only the samples taken after that compilation installs
+    (the compile thread serves the group in order, and until then the
+    method runs the trunk's code), closes early if the branch
+    recompiles it, and the branch ends once every record is closed — so
+    a single warm run yields the full (method × modifier) training
+    matrix, at most one record per (decision, candidate), for as many
+    forked engines per boundary as the widest candidate set. *)
 type fork_params = {
   strategy : Tessera_modifiers.Queue_ctrl.strategy;
       (** generates the candidate set per level
@@ -65,6 +77,9 @@ type config = {
   levels : Plan.level list;  (** levels explored (paper: cold, warm, hot) *)
   search : search;
   uses_per_modifier : int;
+      (** sweep queues: compilations that draw each modifier
+          ({!Tessera_modifiers.Queue_ctrl.create}); [Fork]: entry
+          invocations each branch executes at most *)
   seed : int64;
   target_cycles_between_compiles : int;  (** paper: 10 ms; scaled here *)
   min_threshold : int;
@@ -83,13 +98,28 @@ type stats = {
   records : int;
   discarded_samples : int;
   compilations : int;  (** trunk compilations only *)
-  forks : int;  (** fork points expanded (0 for sweep searches) *)
-  branches : int;  (** branches run across all fork points *)
+  forks : int;  (** decisions expanded (0 for sweep searches) *)
+  branches : int;
+      (** (decision, candidate) pairs measured: one branch compilation
+          and at most one record each *)
+  branch_runs : int;  (** forked branch engines run (one per group and candidate index) *)
   branch_invocations : int;  (** entry invocations executed in branches *)
   skipped_decisions : int;
-      (** fork points never expanded because the trunk install was still
-          pending when the invocation budget ran out *)
+      (** decisions never expanded because they were still waiting (trunk
+          install pending, or a same-method decision ahead of them) when
+          the invocation budget ran out *)
 }
+
+(** {1 Fork groups} *)
+
+(** A fork point: the trunk's first compilation of [meth] at [level]. *)
+type decision = { meth : int; level : Plan.level }
+
+val take_group : settled:(int -> bool) -> decision Queue.t -> decision list
+(** The fork group at an entry boundary: pops, in queue order, every
+    decision whose method is [settled] (no trunk install pending) and
+    has no earlier decision in the group.  The others are pushed back,
+    in order, to wait for the next boundary. *)
 
 val run :
   ?config:config ->

@@ -108,6 +108,8 @@ let specs =
     ( "BENCH_fork.json",
       [
         Min_ratio ([ "records_per_invocation_gain" ], 0.3);
+        Min_ratio ([ "records_per_wall_s_fork" ], 0.5);
+        Min_ratio ([ "records_per_executed_invocation_fork" ], 0.1);
         Invariant_true [ "oracle_ok" ];
       ] );
     ( "BENCH_serve.json",

@@ -257,18 +257,53 @@ let run_fork_config ?(seed = 0xF02CL) ?(fanout = 4) ?(uses = 4) ?(invocations = 
     ()
 
 let test_fork_collector () =
-  let archive, stats = run_fork_config () in
+  let fanout = 4 in
+  let archive, stats = run_fork_config ~fanout () in
   Alcotest.(check bool) "has records" true (archive.Archive.records <> []);
   Alcotest.(check bool) "forked" true (stats.Collector.forks > 0);
   Alcotest.(check bool) "ran branches" true (stats.Collector.branches > 0);
   Alcotest.(check bool)
     "branch invocations counted" true
     (stats.Collector.branch_invocations > 0);
-  (* every fork point measures the whole candidate set: records per trunk
-     invocation dominate the one-modifier-per-recompilation sweep *)
+  (* every fork point measures its whole candidate set (null plus
+     [fanout]): one (decision, candidate) pair each *)
+  Alcotest.(check int) "one pair per candidate"
+    (stats.Collector.forks * (fanout + 1))
+    stats.Collector.branches;
+  (* grouping: candidate k of every decision settled at a boundary shares
+     one forked engine *)
   Alcotest.(check bool)
-    "branches cover candidate sets" true
-    (stats.Collector.branches >= stats.Collector.forks * 2);
+    (Printf.sprintf "%d branch runs < %d pairs" stats.Collector.branch_runs
+       stats.Collector.branches)
+    true
+    (stats.Collector.branch_runs > 0
+    && stats.Collector.branch_runs < stats.Collector.branches);
+  (* one record per candidate unless the record is empty: a fork point
+     (method, level) holds at most [fanout + 1] records, contiguous in
+     the archive *)
+  let key (r : Record.t) = (r.Record.sig_id, r.Record.level) in
+  let counts = Hashtbl.create 16 in
+  let prev = ref None in
+  List.iter
+    (fun r ->
+      let k = key r in
+      if !prev <> Some k then begin
+        Alcotest.(check bool) "fork point records are contiguous" false
+          (Hashtbl.mem counts k);
+        prev := Some k
+      end;
+      Hashtbl.replace counts k
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
+    archive.Archive.records;
+  Hashtbl.iter
+    (fun _ n ->
+      Alcotest.(check bool) "at most one record per candidate" true
+        (n <= fanout + 1))
+    counts;
+  Alcotest.(check bool) "fork points in archive" true
+    (Hashtbl.length counts <= stats.Collector.forks);
+  Alcotest.(check bool) "at most one record per pair" true
+    (stats.Collector.records <= stats.Collector.branches);
   List.iter
     (fun (r : Record.t) ->
       Alcotest.(check bool) "records have invocations" true
@@ -280,11 +315,74 @@ let test_fork_collector () =
        (fun (r : Record.t) -> Modifier.is_null r.Record.modifier)
        archive.Archive.records)
 
+(* One [fork] span per entry boundary that expands a group; its args
+   add up to the collector's stats. *)
+let test_fork_spans () =
+  let module Trace = Tessera_obs.Trace in
+  Trace.enable ();
+  let spans, stats =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.disable ();
+        Trace.reset ();
+        Trace.clear_cycle_source ())
+      (fun () ->
+        let _, stats = run_fork_config () in
+        let spans =
+          List.filter
+            (fun (e : Trace.event) ->
+              e.Trace.name = "fork" && e.Trace.ph = Trace.Span_begin)
+            (Trace.events ())
+        in
+        (spans, stats))
+  in
+  let arg k (e : Trace.event) =
+    match List.assoc_opt k e.Trace.args with
+    | Some (Trace.Int n) -> Int64.to_int n
+    | _ -> Alcotest.failf "fork span without %s" k
+  in
+  let sum k = List.fold_left (fun a e -> a + arg k e) 0 spans in
+  let boundaries = List.map (arg "boundary") spans in
+  Alcotest.(check bool) "one span per boundary" true
+    (List.sort_uniq compare boundaries = boundaries);
+  Alcotest.(check int) "decisions add up" stats.Collector.forks
+    (sum "decisions");
+  Alcotest.(check int) "branches add up" stats.Collector.branches
+    (sum "branches")
+
+(* A fork group holds at most one decision per method, so both of a
+   method's levels are never requested in one branch: the second waits
+   for the next boundary — like a decision whose trunk install is still
+   pending — and is expanded there, not dropped. *)
+let test_fork_group_defers_same_method () =
+  let d meth level = { Collector.meth; level } in
+  let q = Queue.create () in
+  List.iter
+    (fun x -> Queue.push x q)
+    [ d 1 Plan.Cold; d 2 Plan.Cold; d 1 Plan.Warm; d 3 Plan.Warm ];
+  let show ds =
+    String.concat " "
+      (List.map
+         (fun x ->
+           Printf.sprintf "%d:%s" x.Collector.meth
+             (Plan.level_name x.Collector.level))
+         ds)
+  in
+  let group = Collector.take_group ~settled:(fun m -> m <> 3) q in
+  Alcotest.(check string) "first boundary" "1:cold 2:cold" (show group);
+  Alcotest.(check string) "deferred in queue order" "1:warm 3:warm"
+    (show (List.of_seq (Queue.to_seq q)));
+  let group = Collector.take_group ~settled:(fun _ -> true) q in
+  Alcotest.(check string) "next boundary" "1:warm 3:warm" (show group);
+  Alcotest.(check int) "nothing dropped or left" 0 (Queue.length q)
+
 let test_fork_jobs_invariant () =
   let a1, s1 = run_fork_config ~jobs:1 () in
   let a2, s2 = run_fork_config ~jobs:3 () in
   Alcotest.(check bool) "archives equal at any -j" true (Archive.equal a1 a2);
-  Alcotest.(check int) "same branches" s1.Collector.branches s2.Collector.branches
+  Alcotest.(check int) "same branches" s1.Collector.branches s2.Collector.branches;
+  Alcotest.(check int) "same branch runs" s1.Collector.branch_runs
+    s2.Collector.branch_runs
 
 let test_fork_oracle () =
   QCheck.Test.make ~count:6 ~name:"fork snapshot = re-execution (oracle)"
@@ -299,6 +397,7 @@ let test_fork_oracle () =
       in
       Archive.equal fast slow
       && fstats.Collector.branches = sstats.Collector.branches
+      && fstats.Collector.branch_runs = sstats.Collector.branch_runs
       && fstats.Collector.forks = sstats.Collector.forks
       && fstats.Collector.branch_invocations
          = sstats.Collector.branch_invocations)
@@ -316,6 +415,9 @@ let suite =
       test_merged_loaded_archives_roundtrip;
     Alcotest.test_case "collector integration" `Slow test_collector_integration;
     Alcotest.test_case "fork collector" `Slow test_fork_collector;
+    Alcotest.test_case "fork group defers same-method decision" `Quick
+      test_fork_group_defers_same_method;
+    Alcotest.test_case "fork spans per boundary" `Slow test_fork_spans;
     Alcotest.test_case "fork jobs invariance" `Slow test_fork_jobs_invariant;
     QCheck_alcotest.to_alcotest (test_fork_oracle ());
   ]

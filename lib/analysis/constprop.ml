@@ -4,9 +4,10 @@ module Node = Tessera_il.Node
 module Block = Tessera_il.Block
 module Symbol = Tessera_il.Symbol
 module Meth = Tessera_il.Meth
+module Cfg = Tessera_opt.Cfg
 
 type result = {
-  flow : Flow.t;
+  cfg : Cfg.t;
   in_envs : Interval.t array array;
   ret : Interval.t;
   const_nodes : int;
@@ -32,7 +33,8 @@ end
 module Solver = Dataflow.Make (St)
 
 let analyze (m : Meth.t) =
-  let flow = Flow.of_meth m in
+  let cfg = Cfg.build m in
+  let nblocks = Array.length m.Meth.blocks in
   let nsyms = Array.length m.Meth.symbols in
   let sym_ty s = m.Meth.symbols.(s).Symbol.ty in
   let integral s = Types.is_integral (sym_ty s) in
@@ -224,8 +226,8 @@ let analyze (m : Meth.t) =
     let acc =
       if b = 0 then Array.copy entry_env else Array.make nsyms Interval.bot
     in
-    List.iter (fun p -> join_into acc (get p).St.out_env) flow.Flow.preds.(b);
-    List.iter (fun p -> join_into acc (get p).St.exc_env) flow.Flow.exc_preds.(b);
+    List.iter (fun p -> join_into acc (get p).St.out_env) cfg.Cfg.preds.(b);
+    List.iter (fun p -> join_into acc (get p).St.exc_env) cfg.Cfg.exc_preds.(b);
     acc
   in
   let transfer ~get ~round b =
@@ -246,9 +248,9 @@ let analyze (m : Meth.t) =
     { St.out_env = env; St.exc_env = exc }
   in
   let st =
-    Solver.fixpoint ~n:flow.Flow.n
-      ~deps:(Flow.forward_deps flow)
-      ~order:(Flow.forward_order flow)
+    Solver.fixpoint ~n:nblocks
+      ~deps:(Cfg.forward_deps cfg)
+      ~order:(Cfg.forward_order cfg)
       ~init:(fun _ ->
         {
           St.out_env = Array.make nsyms Interval.bot;
@@ -256,13 +258,13 @@ let analyze (m : Meth.t) =
         })
       ~transfer ()
   in
-  let in_envs = Array.init flow.Flow.n (fun b -> in_of (fun p -> st.(p)) b) in
+  let in_envs = Array.init nblocks (fun b -> in_of (fun p -> st.(p)) b) in
   let const_nodes = ref 0 and total_nodes = ref 0 in
   let ret = ref Interval.bot in
   let ret_integral = Types.is_integral m.Meth.ret in
   Array.iteri
     (fun b in_env ->
-      if flow.Flow.reachable.(b) then begin
+      if cfg.Cfg.reachable.(b) then begin
         let on_node (n : Node.t) iv =
           incr total_nodes;
           if Types.is_integral n.Node.ty && Interval.is_singleton iv <> None
@@ -282,7 +284,7 @@ let analyze (m : Meth.t) =
       end)
     in_envs;
   {
-    flow;
+    cfg;
     in_envs;
     ret = !ret;
     const_nodes = !const_nodes;

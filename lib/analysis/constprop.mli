@@ -13,9 +13,10 @@
     returns [Int_v v] from the method, [v] lies in {!result.ret}. *)
 
 module Meth = Tessera_il.Meth
+module Cfg = Tessera_opt.Cfg
 
 type result = {
-  flow : Flow.t;
+  cfg : Cfg.t;
   in_envs : Interval.t array array;
       (** per reachable block: abstract value of each symbol at entry *)
   ret : Interval.t;

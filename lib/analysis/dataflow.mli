@@ -3,8 +3,8 @@
     The solver is direction-agnostic: a forward analysis stores the state
     at block entry and names successors (plus handlers) as dependents; a
     backward analysis stores the state at block entry too but names
-    predecessors.  {!Flow} provides both dependency relations and seed
-    orders. *)
+    predecessors.  {!Tessera_opt.Cfg} provides both dependency relations
+    and seed orders. *)
 
 module type LATTICE = sig
   type t
@@ -24,8 +24,8 @@ module Make (L : LATTICE) : sig
     L.t array
   (** Chaotic iteration to a fixpoint.  [deps.(b)] lists the blocks to
       re-enqueue when block [b]'s state changes; [order] seeds the
-      worklist (typically {!Flow.forward_order} or
-      {!Flow.backward_order}).  [transfer ~get ~round b] recomputes
+      worklist (typically {!Tessera_opt.Cfg.forward_order} or
+      {!Tessera_opt.Cfg.backward_order}).  [transfer ~get ~round b] recomputes
       block [b]'s state from its neighbours' current states; [round] is
       the number of times [b] has been recomputed so far, so transfer
       functions over infinite-height domains can widen after a few

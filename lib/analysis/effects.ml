@@ -4,6 +4,7 @@ module Node = Tessera_il.Node
 module Block = Tessera_il.Block
 module Meth = Tessera_il.Meth
 module Program = Tessera_il.Program
+module Cfg = Tessera_opt.Cfg
 module Int_set = Set.Make (Int)
 
 type t = {
@@ -95,13 +96,13 @@ let node_effects acc (n : Node.t) =
   | _ -> acc
 
 let of_meth (m : Meth.t) =
-  let flow = Flow.of_meth m in
+  let cfg = Cfg.build m in
   let acc = ref bottom in
   if m.Meth.attrs.Meth.synchronized then
     acc := { !acc with sync = true; may_trap = true };
   Array.iteri
     (fun bi (b : Block.t) ->
-      if flow.Flow.reachable.(bi) then begin
+      if cfg.Cfg.reachable.(bi) then begin
         List.iter
           (fun tree -> acc := Node.fold node_effects !acc tree)
           (b.Block.stmts @ Block.terminator_nodes b.Block.term);

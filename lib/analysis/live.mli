@@ -9,9 +9,11 @@
     definition in the block. *)
 
 module Meth = Tessera_il.Meth
+module Cfg = Tessera_opt.Cfg
+module Bitset = Tessera_util.Bitset
 
 type t = {
-  flow : Flow.t;
+  cfg : Cfg.t;
   live_in : Bitset.t array;  (** per block, indexed by symbol id *)
 }
 

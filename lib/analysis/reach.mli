@@ -8,6 +8,8 @@
     definitions may have executed before the trap. *)
 
 module Meth = Tessera_il.Meth
+module Cfg = Tessera_opt.Cfg
+module Bitset = Tessera_util.Bitset
 
 type def = {
   def_id : int;
@@ -17,7 +19,7 @@ type def = {
 }
 
 type t = {
-  flow : Flow.t;
+  cfg : Cfg.t;
   defs : def array;  (** indexed by [def_id] *)
   reach_in : Bitset.t array;  (** per block, indexed by [def_id] *)
 }

@@ -38,8 +38,6 @@ let progressive_probability ~i ~l =
 let progressive rng ~i ~l = random rng ~density:(progressive_probability ~i ~l)
 
 let equal = Bitset.equal
-let compare = Bitset.compare
-let hash = Bitset.hash
 let to_string = Bitset.to_string
 let of_string s =
   if String.length s <> width then invalid_arg "Modifier.of_string: bad width";

@@ -42,8 +42,6 @@ val progressive_probability : i:int -> l:int -> float
 (** [D_i] itself, exposed for tests and documentation. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 
 val to_string : t -> string
 (** 58-character "0"/"1" string, bit 0 first (1 = disabled). *)

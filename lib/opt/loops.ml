@@ -8,7 +8,7 @@ type t = { loops : loop list; depth_of : int array }
 let analyze (m : Meth.t) =
   let n = Array.length m.blocks in
   let cfg = Cfg.build m in
-  let dom = Cfg.dominators m in
+  let dom = Cfg.dominators cfg in
   (* Back edges: b -> h where h dominates b (id-order irrelevant; layout
      passes renumber blocks freely).  Natural loop of (b, h): h plus all
      blocks that reach b without passing through h. *)

@@ -1,6 +1,8 @@
 type t = { nbits : int; words : Bytes.t }
 
-(* One byte per 8 bits; widths here are tiny (58 for modifiers). *)
+(* One byte per 8 bits.  Bits past [nbits] in the last byte stay zero:
+   [set] is bounds-checked and the set operations preserve zeros, so
+   [popcount] and [equal] can work on whole bytes. *)
 
 let create nbits =
   if nbits < 0 then invalid_arg "Bitset.create: negative width";
@@ -24,20 +26,63 @@ let set t i b =
   let byte = if b then byte lor mask else byte land lnot mask in
   Bytes.set t.words (i lsr 3) (Char.chr (byte land 0xff))
 
+let check_widths name a b =
+  if a.nbits <> b.nbits then invalid_arg ("Bitset." ^ name ^ ": width mismatch")
+
+(* Both set operations take 8 bytes at a time, then the byte tail. *)
+let union_into ~into s =
+  check_widths "union_into" into s;
+  let a = into.words and b = s.words in
+  let n = Bytes.length a in
+  let changed = ref false in
+  let i = ref 0 in
+  while !i + 8 <= n do
+    let x = Bytes.get_int64_ne a !i in
+    let u = Int64.logor x (Bytes.get_int64_ne b !i) in
+    if not (Int64.equal u x) then begin
+      Bytes.set_int64_ne a !i u;
+      changed := true
+    end;
+    i := !i + 8
+  done;
+  while !i < n do
+    let x = Bytes.get_uint8 a !i in
+    let u = x lor Bytes.get_uint8 b !i in
+    if u <> x then begin
+      Bytes.set_uint8 a !i u;
+      changed := true
+    end;
+    incr i
+  done;
+  !changed
+
+let diff_into ~into s =
+  check_widths "diff_into" into s;
+  let a = into.words and b = s.words in
+  let n = Bytes.length a in
+  let i = ref 0 in
+  while !i + 8 <= n do
+    Bytes.set_int64_ne a !i
+      (Int64.logand (Bytes.get_int64_ne a !i) (Int64.lognot (Bytes.get_int64_ne b !i)));
+    i := !i + 8
+  done;
+  while !i < n do
+    Bytes.set_uint8 a !i (Bytes.get_uint8 a !i land lnot (Bytes.get_uint8 b !i));
+    incr i
+  done
+
+let byte_popcount =
+  let rec pop v = if v = 0 then 0 else (v land 1) + pop (v lsr 1) in
+  String.init 256 (fun v -> Char.chr (pop v))
+
 let popcount t =
   let count = ref 0 in
-  for i = 0 to t.nbits - 1 do
-    if get t i then incr count
+  for i = 0 to Bytes.length t.words - 1 do
+    count := !count + Char.code byte_popcount.[Bytes.get_uint8 t.words i]
   done;
   !count
 
 let equal a b = a.nbits = b.nbits && Bytes.equal a.words b.words
-
-let compare a b =
-  let c = Int.compare a.nbits b.nbits in
-  if c <> 0 then c else Bytes.compare a.words b.words
-
-let hash t = Hashtbl.hash (t.nbits, Bytes.to_string t.words)
 
 let to_string t = String.init t.nbits (fun i -> if get t i then '1' else '0')
 
@@ -73,8 +118,3 @@ let fold f t init =
     acc := f i (get t i) !acc
   done;
   !acc
-
-let iter_set f t =
-  for i = 0 to t.nbits - 1 do
-    if get t i then f i
-  done

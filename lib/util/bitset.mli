@@ -3,7 +3,8 @@
     Compilation-plan modifiers (Section 5 of the paper) are "a sequence of
     bits; each bit determines whether a code transformation is enabled".
     This module provides the underlying representation, independent of the
-    transformation catalogue. *)
+    transformation catalogue.  The bit-vector dataflow analyses
+    (liveness, reaching definitions) use it as their set type. *)
 
 type t
 
@@ -16,12 +17,18 @@ val copy : t -> t
 val get : t -> int -> bool
 val set : t -> int -> bool -> unit
 
+val union_into : into:t -> t -> bool
+(** [union_into ~into s] ors [s] into [into]; returns whether [into]
+    changed.  Widths must match. *)
+
+val diff_into : into:t -> t -> unit
+(** [diff_into ~into s] clears in [into] every bit set in [s].  Widths
+    must match. *)
+
 val popcount : t -> int
 (** Number of set bits. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 
 val to_string : t -> string
 (** Little-endian "0"/"1" string, bit 0 first, e.g. ["0110..."]. *)
@@ -36,6 +43,3 @@ val of_int64_le : width:int -> int64 -> t
 
 val fold : (int -> bool -> 'a -> 'a) -> t -> 'a -> 'a
 (** [fold f t init] folds over bit indices in increasing order. *)
-
-val iter_set : (int -> unit) -> t -> unit
-(** Applies the function to each set bit index, in increasing order. *)

@@ -15,8 +15,8 @@ module Program = Tessera_il.Program
 module Values = Tessera_vm.Values
 module Plan = Tessera_opt.Plan
 module Manager = Tessera_opt.Manager
-module Bitset = Tessera_analysis.Bitset
-module Flow = Tessera_analysis.Flow
+module Bitset = Tessera_util.Bitset
+module Cfg = Tessera_opt.Cfg
 module Interval = Tessera_analysis.Interval
 module Live = Tessera_analysis.Live
 module Reach = Tessera_analysis.Reach
@@ -46,26 +46,26 @@ let one_block ?symbols stmts ret =
 
 let test_bitset () =
   let s = Bitset.create 70 in
-  Alcotest.(check int) "width" 70 (Bitset.length s);
-  Alcotest.(check bool) "initially empty" false (Bitset.mem s 69);
-  Bitset.set s 0;
-  Bitset.set s 69;
-  Bitset.set s 64;
-  Alcotest.(check int) "count" 3 (Bitset.count s);
-  Alcotest.(check (list int)) "iter in order" [ 0; 64; 69 ]
-    (List.rev (Bitset.fold (fun acc i -> i :: acc) [] s));
-  Bitset.unset s 64;
-  Alcotest.(check bool) "unset" false (Bitset.mem s 64);
+  Alcotest.(check int) "width" 70 (Bitset.width s);
+  Alcotest.(check bool) "initially empty" false (Bitset.get s 69);
+  Bitset.set s 0 true;
+  Bitset.set s 69 true;
+  Bitset.set s 64 true;
+  Alcotest.(check int) "count" 3 (Bitset.popcount s);
+  Alcotest.(check (list int)) "fold in order" [ 0; 64; 69 ]
+    (List.rev (Bitset.fold (fun i b acc -> if b then i :: acc else acc) s []));
+  Bitset.set s 64 false;
+  Alcotest.(check bool) "unset" false (Bitset.get s 64);
   let t = Bitset.copy s in
-  Bitset.set t 5;
-  Alcotest.(check bool) "copy is independent" false (Bitset.mem s 5);
+  Bitset.set t 5 true;
+  Alcotest.(check bool) "copy is independent" false (Bitset.get s 5);
   Alcotest.(check bool) "union reports change" true
     (Bitset.union_into ~into:s t);
   Alcotest.(check bool) "union reaches fixpoint" false
     (Bitset.union_into ~into:s t);
   Alcotest.(check bool) "now equal" true (Bitset.equal s t);
   Bitset.diff_into ~into:s t;
-  Alcotest.(check int) "diff empties" 0 (Bitset.count s)
+  Alcotest.(check int) "diff empties" 0 (Bitset.popcount s)
 
 (* ------------------------------------------------------------------ *)
 (* Intervals                                                            *)
@@ -114,7 +114,7 @@ let test_interval () =
     (Interval.equal (Interval.widen (iv 1 5)) Interval.top)
 
 (* ------------------------------------------------------------------ *)
-(* Solver + Flow                                                        *)
+(* Solver + Cfg                                                         *)
 (* ------------------------------------------------------------------ *)
 
 module Bool_solver = Tessera_analysis.Dataflow.Make (struct
@@ -169,21 +169,21 @@ let irreducible_meth () =
 
 let test_flow_edges () =
   let m = irreducible_meth () in
-  let f = Flow.of_meth m in
-  Alcotest.(check int) "4 blocks" 4 f.Flow.n;
-  Alcotest.(check (list int)) "succs 0" [ 1; 2 ] (List.sort compare f.Flow.succs.(0));
-  Alcotest.(check (list int)) "preds 1" [ 0; 2 ] (List.sort compare f.Flow.preds.(1));
-  Alcotest.(check (list int)) "preds 3" [ 1; 2 ] (List.sort compare f.Flow.preds.(3));
+  let f = Cfg.build m in
+  Alcotest.(check int) "4 blocks" 4 (Array.length f.Cfg.succs);
+  Alcotest.(check (list int)) "succs 0" [ 1; 2 ] (List.sort compare f.Cfg.succs.(0));
+  Alcotest.(check (list int)) "preds 1" [ 0; 2 ] (List.sort compare f.Cfg.preds.(1));
+  Alcotest.(check (list int)) "preds 3" [ 1; 2 ] (List.sort compare f.Cfg.preds.(3));
   Array.iteri
     (fun b r -> Alcotest.(check bool) (Printf.sprintf "%d reachable" b) true r)
-    f.Flow.reachable;
+    f.Cfg.reachable;
   (* the orders enumerate every block exactly once *)
   let check_order name order =
     Alcotest.(check (list int)) name [ 0; 1; 2; 3 ]
       (List.sort compare (Array.to_list order))
   in
-  check_order "forward order" (Flow.forward_order f);
-  check_order "backward order" (Flow.backward_order f);
+  check_order "forward order" (Cfg.forward_order f);
+  check_order "backward order" (Cfg.backward_order f);
   (* exceptional edges show up in deps and exc_preds *)
   let mh =
     mk_method
@@ -194,12 +194,16 @@ let test_flow_edges () =
         Block.make 2 [] (Block.Return (Some (ic 9)));
       |]
   in
-  let fh = Flow.of_meth mh in
-  Alcotest.(check (list int)) "exc_preds of handler" [ 1 ] fh.Flow.exc_preds.(2);
+  let fh = Cfg.build mh in
+  Alcotest.(check (list int)) "exc_preds of handler" [ 1 ] fh.Cfg.exc_preds.(2);
   Alcotest.(check bool) "handler is a forward dep of its block" true
-    (Array.mem 2 (Flow.forward_deps fh).(1));
+    (Array.mem 2 (Cfg.forward_deps fh).(1));
+  Alcotest.(check bool) "covered block is a backward dep of its handler" true
+    (Array.mem 1 (Cfg.backward_deps fh).(2));
   Alcotest.(check bool) "handler reachable only via the trap edge" true
-    fh.Flow.reachable.(2)
+    fh.Cfg.reachable.(2);
+  Alcotest.(check (list int)) "handler-only block seeded after the rpo"
+    [ 0; 1; 2 ] (Array.to_list (Cfg.forward_order fh))
 
 (* ------------------------------------------------------------------ *)
 (* Liveness and reaching definitions                                    *)
@@ -220,7 +224,7 @@ let test_liveness_handler_conservatism () =
   in
   let lv = Live.analyze m in
   Alcotest.(check bool) "handler keeps t0 live at covered entry" true
-    (Bitset.mem (Live.live_in lv 0) 0);
+    (Bitset.get (Live.live_in lv 0) 0);
   Alcotest.(check bool) "pressure at least 1" true (Live.pressure lv >= 1);
   (* on the irreducible method both symbols are live around the loop *)
   let lv2 = Live.analyze (irreducible_meth ()) in
@@ -249,13 +253,13 @@ let test_reaching_definitions () =
   List.iter
     (fun (d : Reach.def) ->
       Alcotest.(check bool) "virtual def reaches entry" true
-        (Bitset.mem r.Reach.reach_in.(0) d.Reach.def_id))
+        (Bitset.get r.Reach.reach_in.(0) d.Reach.def_id))
     virtuals;
   (* block 2 joins the loop-carried and the straight-line store of t0 *)
   let t0_defs_reaching_exit =
     Array.to_list r.Reach.defs
     |> List.filter (fun (d : Reach.def) ->
-           d.Reach.sym = 0 && Bitset.mem r.Reach.reach_in.(2) d.Reach.def_id)
+           d.Reach.sym = 0 && Bitset.get r.Reach.reach_in.(2) d.Reach.def_id)
   in
   Alcotest.(check bool) "loop join sees the block-1 def" true
     (List.exists (fun (d : Reach.def) -> d.Reach.block = 1) t0_defs_reaching_exit);

@@ -348,7 +348,7 @@ let test_dominators () =
         Block.make 3 [] (Block.Return (Some (ld 0)));
       |]
   in
-  let dom = Tessera_opt.Cfg.dominators m in
+  let dom = Tessera_opt.Cfg.(dominators (build m)) in
   Alcotest.(check bool) "entry dominates all" true (dom.(3).(0));
   Alcotest.(check bool) "1 does not dominate 3" false (dom.(3).(1));
   Alcotest.(check bool) "no back edge 1->3" false (Tessera_opt.Cfg.is_back_edge dom 1 3);
@@ -362,7 +362,7 @@ let test_dominators () =
         Block.make 3 [] (Block.Goto 2);
       |]
   in
-  let dom2 = Tessera_opt.Cfg.dominators m2 in
+  let dom2 = Tessera_opt.Cfg.(dominators (build m2)) in
   Alcotest.(check bool) "3 -> 2 is not a back edge" false
     (Tessera_opt.Cfg.is_back_edge dom2 3 2);
   let la = Tessera_opt.Loops.analyze m2 in

@@ -109,6 +109,40 @@ let test_bitset_int64_roundtrip () =
       let v' = Bitset.to_int64_le b in
       Bitset.equal b (Bitset.of_int64_le ~width:58 v'))
 
+(* Widths 0-130 cover empty sets, whole 8-byte chunks and byte tails.
+   Half the cases draw the second set inside the first, so the "changed"
+   flag is exercised both ways. *)
+let test_bitset_set_algebra () =
+  let gen =
+    QCheck.Gen.(
+      int_bound 130 >>= fun w ->
+      triple (array_size (return w) bool) (array_size (return w) bool) bool
+      >|= fun (a, b, inside) ->
+      (a, if inside then Array.map2 ( && ) a b else b))
+  in
+  let of_bools xs =
+    let s = Bitset.create (Array.length xs) in
+    Array.iteri (Bitset.set s) xs;
+    s
+  in
+  let to_bools s = Array.init (Bitset.width s) (Bitset.get s) in
+  let count xs = Array.fold_left (fun n x -> if x then n + 1 else n) 0 xs in
+  QCheck.Test.make ~count:500 ~name:"bitset union/diff/popcount vs bool array"
+    (QCheck.make ~print:QCheck.Print.(pair (array bool) (array bool)) gen)
+    (fun (a, b) ->
+      let union = Array.map2 ( || ) a b in
+      let diff = Array.map2 (fun x y -> x && not y) a b in
+      let u = of_bools a in
+      let changed = Bitset.union_into ~into:u (of_bools b) in
+      let d = of_bools a in
+      Bitset.diff_into ~into:d (of_bools b);
+      to_bools u = union
+      && changed = (union <> a)
+      && to_bools d = diff
+      && Bitset.popcount (of_bools a) = count a
+      && Bitset.popcount u = count union
+      && Bitset.popcount d = count diff)
+
 let test_codec_varint_roundtrip () =
   QCheck.Test.make ~count:500 ~name:"varint roundtrip"
     QCheck.(int_bound ((1 lsl 40) - 1))
@@ -205,6 +239,7 @@ let suite =
     Alcotest.test_case "bitset basics" `Quick test_bitset_basics;
     QCheck_alcotest.to_alcotest (test_bitset_string_roundtrip ());
     QCheck_alcotest.to_alcotest (test_bitset_int64_roundtrip ());
+    QCheck_alcotest.to_alcotest (test_bitset_set_algebra ());
     QCheck_alcotest.to_alcotest (test_codec_varint_roundtrip ());
     Alcotest.test_case "codec primitives" `Quick test_codec_primitives;
     Alcotest.test_case "codec truncation" `Quick test_codec_truncation;

@@ -428,11 +428,11 @@ let run_pipe_overhead ~jobs cfg =
   let outcomes = get_outcomes ~jobs cfg in
   let ms = Harness.Training.train_on_all ~name:"pipe" outcomes in
   let features = Array.make Tessera_features.Features.dim 0.5 in
-  let predictor = Harness.Modelset.server_predictor ms in
+  let predictor = Harness.Modelset.server_batch_predictor ms in
   let t0 = Unix.gettimeofday () in
   let n = 20_000 in
   for _ = 1 to n do
-    ignore (predictor ~level:Plan.Hot ~features)
+    ignore (predictor ~level:Plan.Hot [| features |])
   done;
   let direct_us = (Unix.gettimeofday () -. t0) /. float_of_int n *. 1e6 in
   let dir = Filename.get_temp_dir_name () in
@@ -447,7 +447,11 @@ let run_pipe_overhead ~jobs cfg =
     match Unix.fork () with
     | 0 ->
         let ch = open_a () in
-        Tessera_protocol.Server.serve ch predictor;
+        let server =
+          Tessera_protocol.Serve.create ~make_predictor:(fun _ -> predictor) ()
+        in
+        ignore
+          (Tessera_protocol.Serve.serve_channel server ch ~stop:(fun () -> false));
         Unix._exit 0
     | pid ->
         let ch = open_b () in
@@ -1783,7 +1787,12 @@ let run_micro ~jobs cfg =
   let archive = (List.hd outcomes).Harness.Collection.merged in
   let archive_bytes = Tessera_collect.Archive.to_string archive in
   let server_ch, client_ch = Tessera_protocol.Channel.pipe_pair () in
-  let predictor = Harness.Modelset.server_predictor ms in
+  let server =
+    Tessera_protocol.Serve.create
+      ~make_predictor:(fun _ -> Harness.Modelset.server_batch_predictor ms)
+      ()
+  in
+  let lockstep = Tessera_protocol.Serve.lockstep server server_ch in
   let wire_features = Array.make Tessera_features.Features.dim 0.5 in
   let rng = Tessera_util.Prng.create 1L in
   let tests =
@@ -1815,7 +1824,7 @@ let run_micro ~jobs cfg =
                     features = wire_features;
                     trace = Tessera_protocol.Tracectx.none;
                   });
-             ignore (Tessera_protocol.Server.step server_ch predictor);
+             lockstep ();
              ignore (Tessera_protocol.Message.decode_from client_ch)));
       Test.make ~name:"progressive modifier generation"
         (Staged.stage (fun () ->

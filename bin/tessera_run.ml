@@ -12,7 +12,7 @@ module Suites = Tessera_workloads.Suites
 module Engine = Tessera_jit.Engine
 module Values = Tessera_vm.Values
 module Channel = Tessera_protocol.Channel
-module Server = Tessera_protocol.Server
+module Serve = Tessera_protocol.Serve
 module Client = Tessera_protocol.Client
 module Spec = Tessera_faults.Spec
 module Injector = Tessera_faults.Injector
@@ -27,7 +27,7 @@ module Export = Tessera_obs.Export
 module Fileio = Tessera_util.Fileio
 
 (* In-process deployment of the paper's two-process setup: engine →
-   resilient client → faulty in-memory pipes → protocol server →
+   resilient client → faulty in-memory pipes → serving engine →
    predictor, advanced in lockstep. *)
 let faulty_pipeline ~spec ~seed ~predictor =
   let server_raw, client_raw = Channel.pipe_pair () in
@@ -38,10 +38,8 @@ let faulty_pipeline ~spec ~seed ~predictor =
   let jit_inj = Injector.create ~spec ~seed:(Int64.add seed 2L) () in
   let server_ch = Injector.wrap_channel server_inj server_raw in
   let client_ch = Injector.wrap_channel client_inj client_raw in
-  let lockstep () =
-    try ignore (Server.step server_ch predictor)
-    with Channel.Closed | Channel.Timeout -> ()
-  in
+  let server = Serve.create ~make_predictor:(fun _ -> predictor) () in
+  let lockstep = Serve.lockstep server server_ch in
   let client = Client.connect ~model_name:"faulty" ~lockstep client_ch in
   (client, server_inj, client_inj, jit_inj)
 
@@ -84,8 +82,8 @@ let run_target ~fmt ~model_dir ~iterations ~tir ~fault_spec ~fault_seed
     | Some spec ->
         let predictor =
           match modelset with
-          | Some ms -> Harness.Modelset.server_predictor ms
-          | None -> fun ~level:_ ~features:_ -> Modifier.null
+          | Some ms -> Harness.Modelset.server_batch_predictor ms
+          | None -> fun ~level:_ rows -> Array.map (fun _ -> Modifier.null) rows
         in
         let seed = Int64.of_int fault_seed in
         let client, server_inj, client_inj, jit_inj =

@@ -1,17 +1,20 @@
 (* Model server: answers Predict requests (Section 7 of the paper).
 
-   Two deployment shapes:
+   One serving engine, [Tessera_protocol.Serve], behind two transports:
 
-   - named pipes (default, the paper's setup): one blocking client over
-     IN_FIFO/OUT_FIFO via [Tessera_protocol.Server] — kept for the
-     two-process compiler integration and the pipe-overhead benchmark;
+   - named pipes (default, the paper's setup): one client over
+     IN_FIFO/OUT_FIFO, served as a single connection of the engine —
+     the two-process compiler integration;
 
-   - --socket PATH: a concurrent multi-client service over a Unix
-     domain socket via [Tessera_protocol.Serve] — a select loop
-     multiplexing every connection, bounded queues with backpressure,
-     load-shedding (Overloaded) past the high-water mark, per-connection
-     error budgets, batched SVM prediction, supervised prediction
-     workers, and a deadline-bounded graceful drain on SIGTERM/SIGINT.
+   - --socket PATH: many concurrent clients over a Unix domain socket.
+
+   Both run the same select loop and give every connection the same
+   guarantees: bounded queues with backpressure, load-shedding
+   (Overloaded) past the high-water mark, one protocol-error budget
+   (--max-protocol-errors) for framing and semantic errors alike,
+   batched SVM prediction, supervised prediction workers, and a
+   deadline-bounded graceful drain on SIGTERM/SIGINT.  The loop also
+   ends when the FIFO client hangs up.
 
    --fault-spec wraps the served channel(s) in deterministic fault
    injectors (per-connection in socket mode), so the resilience of real
@@ -21,7 +24,6 @@
 open Cmdliner
 module Harness = Tessera_harness
 module Channel = Tessera_protocol.Channel
-module Server = Tessera_protocol.Server
 module Serve = Tessera_protocol.Serve
 module Spec = Tessera_faults.Spec
 module Injector = Tessera_faults.Injector
@@ -48,67 +50,85 @@ let dump_metrics metrics_out =
         (Tessera_obs.Metrics.expose Tessera_obs.Metrics.default))
     metrics_out
 
-(* ---------------- FIFO mode: one blocking client ------------------- *)
+(* ---------------- FIFO mode: one client ---------------------------- *)
 
-let run_fifo ms in_fifo out_fifo fault_spec fault_seed resync_budget
-    max_protocol_errors metrics_out =
+(* Opens the FIFO pair (blocking until the client opens the other ends)
+   and returns the served channel plus the epilogue that reports the
+   injector and turns a simulated crash into exit status 1. *)
+let open_fifo in_fifo out_fifo fault_spec fault_seed =
   List.iter
     (fun p ->
       (try Unix.unlink p with Unix.Unix_error _ -> ());
       Unix.mkfifo p 0o600)
     [ in_fifo; out_fifo ];
   Printf.printf "serving: reading %s, writing %s\n%!" in_fifo out_fifo;
-  (* opening blocks until the client opens the other ends *)
   let fin = Unix.openfile in_fifo [ Unix.O_RDONLY ] 0 in
   let fout = Unix.openfile out_fifo [ Unix.O_WRONLY ] 0 in
   let raw = Channel.of_fds fin fout in
-  let injector =
-    match fault_spec with
-    | None -> None
-    | Some spec ->
-        let inj =
-          Injector.create ~sleep:Unix.sleepf ~spec
-            ~seed:(Int64.of_int fault_seed) ()
-        in
-        Printf.printf "injecting faults: %s (seed %d)\n%!"
-          (Spec.to_string spec) fault_seed;
-        Some inj
-  in
-  let ch =
-    match injector with
-    | None -> raw
-    | Some inj -> Injector.wrap_channel inj raw
-  in
-  let session = Server.session ~resync_budget ~max_protocol_errors () in
-  (try
-     Server.serve ~session ch (Harness.Modelset.server_predictor ms)
-   with Channel.Closed -> ());
-  dump_metrics metrics_out;
-  match injector with
-  | Some inj when (Injector.stats inj).Injector.crashes > 0 ->
-      Format.printf "simulated crash: %a@." Injector.pp_stats
-        (Injector.stats inj);
-      1
-  | Some inj ->
-      Format.printf "shutdown: %a@." Injector.pp_stats (Injector.stats inj);
-      0
-  | None ->
-      Printf.printf "shutdown\n";
-      0
+  match fault_spec with
+  | None -> (raw, fun () -> 0)
+  | Some spec ->
+      let inj =
+        Injector.create ~sleep:Unix.sleepf ~spec
+          ~seed:(Int64.of_int fault_seed) ()
+      in
+      Printf.printf "injecting faults: %s (seed %d)\n%!" (Spec.to_string spec)
+        fault_seed;
+      let report () =
+        let stats = Injector.stats inj in
+        let crashed = stats.Injector.crashes > 0 in
+        Format.printf "%s: %a@."
+          (if crashed then "simulated crash" else "shutdown")
+          Injector.pp_stats stats;
+        if crashed then 1 else 0
+      in
+      (Injector.wrap_channel inj raw, report)
 
 (* ---------------- socket mode: many concurrent clients ------------- *)
 
-let run_socket ms path fault_spec fault_seed resync_budget
-    max_protocol_errors max_conns per_conn_queue queue_hwm workers
-    drain_deadline slo_objective slo_target metrics_out =
+let listen_socket path fault_spec fault_seed (config : Serve.config) =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let listen = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen (Unix.ADDR_UNIX path);
   Unix.listen listen 128;
-  let stop = ref false in
-  let on_signal _ = stop := true in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  (* each accepted connection gets its own deterministic injector, so a
+     faulty client's stream is independent of its neighbours' *)
+  let conn_count = ref 0 in
+  let wrap ch =
+    incr conn_count;
+    match fault_spec with
+    | None -> ch
+    | Some spec ->
+        let inj =
+          Injector.create ~sleep:Unix.sleepf ~spec
+            ~seed:(Int64.of_int (fault_seed + !conn_count)) ()
+        in
+        Injector.wrap_channel inj ch
+  in
+  Printf.printf "serving on %s (%d workers, hwm %d, error cap %d)\n%!" path
+    config.workers config.queue_hwm config.max_protocol_errors;
+  Option.iter
+    (fun spec ->
+      Printf.printf "injecting faults per connection: %s (base seed %d)\n%!"
+        (Spec.to_string spec) fault_seed)
+    fault_spec;
+  let close () =
+    (try Unix.close listen with Unix.Unix_error _ -> ());
+    try Unix.unlink path with Unix.Unix_error _ -> ()
+  in
+  (listen, wrap, close)
+
+let run model_dir in_fifo out_fifo socket fault_spec fault_seed code_cache_dir
+    code_cache_mb code_cache_readonly resync_budget max_protocol_errors
+    max_conns per_conn_queue queue_hwm workers drain_deadline slo_objective
+    slo_target metrics_out =
+  (* a client that vanishes mid-write must surface as Channel.Closed
+     (EPIPE), not kill the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  Option.iter
+    (fun dir -> scrub_code_cache dir code_cache_mb code_cache_readonly)
+    code_cache_dir;
+  let ms = Harness.Modelset.load ~name:"server" ~dir:model_dir in
   let config =
     {
       Serve.default_config with
@@ -131,30 +151,31 @@ let run_socket ms path fault_spec fault_seed resync_budget
   (* request spans are stamped on the serving engine's virtual clock;
      register it so any other events this process emits share the axis *)
   Tessera_obs.Trace.set_cycle_source (fun () -> Serve.vcycles engine);
-  (* each accepted connection gets its own deterministic injector, so a
-     faulty client's stream is independent of its neighbours' *)
-  let conn_count = ref 0 in
-  let wrap ch =
-    incr conn_count;
-    match fault_spec with
-    | None -> ch
-    | Some spec ->
-        let inj =
-          Injector.create ~sleep:Unix.sleepf ~spec
-            ~seed:(Int64.of_int (fault_seed + !conn_count)) ()
-        in
-        Injector.wrap_channel inj ch
+  (* SIGTERM switches from killing the process to draining it once the
+     transport is up (for FIFOs: once the client has connected) *)
+  let stopped = ref false in
+  let stop_on_signal () =
+    let on_signal _ = stopped := true in
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
   in
-  Printf.printf "serving on %s (%d workers, hwm %d, error cap %d)\n%!" path
-    workers queue_hwm max_protocol_errors;
-  Option.iter
-    (fun spec ->
-      Printf.printf "injecting faults per connection: %s (base seed %d)\n%!"
-        (Spec.to_string spec) fault_seed)
-    fault_spec;
-  let clean = Serve.serve_fds engine ~listen ~wrap ~stop:(fun () -> !stop) in
-  (try Unix.close listen with Unix.Unix_error _ -> ());
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let stop () = !stopped in
+  let clean, status =
+    match socket with
+    | Some path ->
+        let listen, wrap, close =
+          listen_socket path fault_spec fault_seed config
+        in
+        stop_on_signal ();
+        let clean = Serve.serve_fds engine ~listen ~wrap ~stop in
+        close ();
+        (clean, 0)
+    | None ->
+        let ch, report = open_fifo in_fifo out_fifo fault_spec fault_seed in
+        stop_on_signal ();
+        let clean = Serve.serve_channel engine ch ~stop in
+        (clean, report ())
+  in
   dump_metrics metrics_out;
   Format.printf "drain %s: %a@."
     (if clean then "complete" else "DEADLINE EXCEEDED")
@@ -162,27 +183,7 @@ let run_socket ms path fault_spec fault_seed resync_budget
   Format.printf "slo: objective %.4fs target %.3f, final burn rate %.3f@."
     slo_objective slo_target
     (Serve.slo_burn_rate engine);
-  if clean then 0 else 1
-
-let run model_dir in_fifo out_fifo socket fault_spec fault_seed code_cache_dir
-    code_cache_mb code_cache_readonly resync_budget max_protocol_errors
-    max_conns per_conn_queue queue_hwm workers drain_deadline slo_objective
-    slo_target metrics_out =
-  (* a client that vanishes mid-write must surface as Channel.Closed
-     (EPIPE), not kill the process *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  Option.iter
-    (fun dir -> scrub_code_cache dir code_cache_mb code_cache_readonly)
-    code_cache_dir;
-  let ms = Harness.Modelset.load ~name:"server" ~dir:model_dir in
-  match socket with
-  | Some path ->
-      run_socket ms path fault_spec fault_seed resync_budget
-        max_protocol_errors max_conns per_conn_queue queue_hwm workers
-        drain_deadline slo_objective slo_target metrics_out
-  | None ->
-      run_fifo ms in_fifo out_fifo fault_spec fault_seed resync_budget
-        max_protocol_errors metrics_out
+  if clean then status else 1
 
 let model_dir =
   Arg.(required & pos 0 (some dir) None & info [] ~docv:"MODEL_DIR"
@@ -199,10 +200,10 @@ let out_fifo =
 let socket =
   Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
          ~doc:"Serve many concurrent clients over a Unix domain socket at \
-               PATH instead of one blocking client over FIFOs.  SIGTERM \
-               drains gracefully: accepting stops, queued requests are \
-               answered, then connections close (exit 0 if the flush beat \
-               --drain-deadline).")
+               PATH instead of one client over FIFOs.  In both modes \
+               SIGTERM drains gracefully: accepting stops, queued requests \
+               are answered, then connections close (exit 0 if the flush \
+               beat --drain-deadline).")
 
 let spec_conv =
   Arg.conv
@@ -262,17 +263,16 @@ let queue_hwm =
 let workers =
   Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N"
          ~doc:"Supervised prediction workers; a crashed worker is restarted \
-               without dropping connections (socket mode).")
+               without dropping connections.")
 
 let drain_deadline =
   Arg.(value & opt float 5.0 & info [ "drain-deadline" ] ~docv:"SECONDS"
-         ~doc:"Bound on the graceful drain after SIGTERM (socket mode).")
+         ~doc:"Bound on the graceful drain after SIGTERM.")
 
 let slo_objective =
   Arg.(value & opt float 0.01 & info [ "slo-objective" ] ~docv:"SECONDS"
          ~doc:"Latency objective of the serving SLO: a request answered \
-               slower than this counts against the error budget (socket \
-               mode).")
+               slower than this counts against the error budget.")
 
 let slo_target =
   Arg.(value & opt float 0.99 & info [ "slo-target" ] ~docv:"FRACTION"

@@ -33,7 +33,12 @@ let () =
   | 0 ->
       (* child: the model server *)
       let ch = open_server () in
-      Tessera_protocol.Server.serve ch (Harness.Modelset.server_predictor ms);
+      let server =
+        Tessera_protocol.Serve.create
+          ~make_predictor:(fun _ -> Harness.Modelset.server_batch_predictor ms)
+          ()
+      in
+      ignore (Tessera_protocol.Serve.serve_channel server ch ~stop:(fun () -> false));
       exit 0
   | child_pid ->
       let ch = open_client () in

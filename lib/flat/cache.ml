@@ -1,24 +1,17 @@
-(* Process-wide flat-form cache: per-method lazy flatten, memoized by
-   the (memoized) [Meth.fingerprint] plus the fusion setting.
-
-   The memo table is domain-local (Domain.DLS), so evaluation-pool
-   domains never contend on a lock in the interpreter hot path; each
-   domain flattens its own copy, which is cheap and has no observable
-   effect (flattening charges nothing).  The [enabled] and [fuse]
-   toggles are plain flags set at process start (`--no-flat`,
-   `bench flat` legs) before worker domains spawn. *)
+(* The flat-tier switch and the instrumented lowering and fusion entry
+   points.  [enabled] is a plain flag set at process start (`--no-flat`)
+   before worker domains spawn.  Each engine memoizes its own flat
+   forms. *)
 
 module Meth = Tessera_il.Meth
 module Trace = Tessera_obs.Trace
 module Metrics = Tessera_obs.Metrics
 
 let enabled_flag = ref true
-let fuse_flag = ref true
 
 let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
-let fuse_enabled () = !fuse_flag
-let set_fuse b = fuse_flag := b
+let fuse_enabled () = true
 
 (* registered on the default registry (idempotent by name) so the flat
    tier shows up in every metrics exposition alongside jit_* counters *)
@@ -26,23 +19,11 @@ let m_flatten =
   Metrics.counter Metrics.default ~help:"Methods lowered to flat form"
     "flat_flatten_total"
 
-let m_hits =
-  Metrics.counter Metrics.default ~help:"Flat-form memo hits"
-    "flat_cache_hits_total"
-
 let m_fused_sites =
   Metrics.counter Metrics.default
     ~help:"Superinstruction sites produced by fusion" "flat_fused_sites_total"
 
-let m_persist_loads =
-  Metrics.counter Metrics.default
-    ~help:"Flat forms loaded from the persistent code cache"
-    "flat_persist_loads_total"
-
-let memo_key : (int64 * bool, Prog.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let clear () = Hashtbl.reset (Domain.DLS.get memo_key)
+let clear () = ()
 
 let flatten (m : Meth.t) =
   if !Trace.enabled then
@@ -57,30 +38,7 @@ let flatten (m : Meth.t) =
       "flatten";
   p
 
-let get ?load ?save (m : Meth.t) =
-  let tbl = Domain.DLS.get memo_key in
-  let fuse = !fuse_flag in
-  let key = (Meth.fingerprint m, fuse) in
-  match Hashtbl.find_opt tbl key with
-  | Some p ->
-      Metrics.inc m_hits;
-      p
-  | None ->
-      let base =
-        match load with
-        | None -> flatten m
-        | Some f -> (
-            match f () with
-            | Some p ->
-                Metrics.inc m_persist_loads;
-                p
-            | None ->
-                let p = flatten m in
-                (match save with Some s -> s p | None -> ());
-                p)
-      in
-      let p = if fuse then Prog.fuse base else base in
-      if p.Prog.fused_pairs > 0 then
-        Metrics.add m_fused_sites p.Prog.fused_pairs;
-      Hashtbl.replace tbl key p;
-      p
+let fuse base =
+  let p = Prog.fuse base in
+  Metrics.add m_fused_sites p.Prog.fused_pairs;
+  p

@@ -1,12 +1,6 @@
-(** Process-wide flat-form cache and tier toggles.
-
-    [get] returns the memoized flat form of a method (keyed by the
-    memoized [Meth.fingerprint] and the current fusion setting),
-    flattening lazily on first use.  The memo is domain-local, so the
-    interpreter hot path never takes a lock.  [load]/[save] optionally
-    bridge to a persistent store (the code cache): [load] is consulted
-    on memo miss before flattening, [save] is called with the freshly
-    flattened {e unfused} base form. *)
+(** The process-wide flat-tier switch and the instrumented lowering and
+    fusion entry points.  Flat forms are memoized per engine
+    ({!Tessera_jit.Engine}), not here. *)
 
 val enabled : unit -> bool
 (** The [--no-flat] escape hatch: when false, engines fall back to the
@@ -14,17 +8,17 @@ val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 
-val fuse_enabled : unit -> bool
-val set_fuse : bool -> unit
-
-val get :
-  ?load:(unit -> Prog.t option) ->
-  ?save:(Prog.t -> unit) ->
-  Tessera_il.Meth.t ->
-  Prog.t
-
 val flatten : Tessera_il.Meth.t -> Prog.t
 (** Uncached lowering (with Obs span/counter instrumentation). *)
 
+val fuse : Prog.t -> Prog.t
+(** Superinstruction fusion ({!Prog.fuse}); adds the fused sites to the
+    [flat_fused_sites_total] counter. *)
+
+val fuse_enabled : unit -> bool
+(** Always true: nothing disables fusion any more.  Kept, like
+    {!clear}, only because the benchmark harness calls it; both go with
+    the next benchmark change. *)
+
 val clear : unit -> unit
-(** Drop the current domain's memo table (tests and benchmarks). *)
+(** No-op: there is no process-wide memo left to drop. *)

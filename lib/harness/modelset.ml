@@ -72,15 +72,6 @@ let choose_modifier t engine ~meth_id ~level =
   let m = Program.meth program meth_id in
   Some (predict t ~level (Features.extract ~program m))
 
-let server_predictor t ~level ~features =
-  match find t level with
-  | None -> Modifier.null
-  | Some lm ->
-      (* wire features are raw; apply this model's scaling file *)
-      let raw = Array.map int_of_float features in
-      Trainset.predictor ~scaling:lm.scaling ~labels:lm.labels ~model:lm.model
-        (Features.of_array raw)
-
 let server_batch_predictor t ~level rows =
   (* one level-model lookup for the whole batch: the serving engine
      groups its queue by level before calling *)
@@ -89,6 +80,7 @@ let server_batch_predictor t ~level rows =
   | Some lm ->
       Array.map
         (fun features ->
+          (* wire features are raw; apply this model's scaling file *)
           let raw = Array.map int_of_float features in
           Trainset.predictor ~scaling:lm.scaling ~labels:lm.labels
             ~model:lm.model (Features.of_array raw))

@@ -48,14 +48,10 @@ val choose_modifier :
 (** Adapter for {!Tessera_jit.Engine.callbacks.choose_modifier}: extracts
     the method's features and predicts.  Never returns [None]. *)
 
-val server_predictor : t -> Tessera_protocol.Server.predictor
-(** Serve this model set over the wire protocol.  Incoming features are
-    expected raw (unnormalized); the server applies its own scaling. *)
-
 val server_batch_predictor : t -> Tessera_protocol.Serve.batch_predictor
-(** Batched form for the concurrent serving engine: one level-model
-    lookup per batch, one modifier per input row, raw features scaled
-    exactly as {!server_predictor} does. *)
+(** Serve this model set over the wire protocol: one level-model lookup
+    per batch, one modifier per input row.  Incoming features are
+    expected raw (unnormalized); the server applies its own scaling. *)
 
 val save : t -> dir:string -> unit
 (** Writes [model_<level>.txt], [scaling_<level>.txt],

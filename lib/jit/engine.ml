@@ -611,8 +611,7 @@ let instrumentation_overhead = 35 (* cycles per TR_jitPTTMethod{Enter,Exit} *)
 
 (* Memoized flat form of an interpreted method, optionally backed by the
    persistent code cache (warm runs then skip re-flattening too).  The
-   unfused base form is what persists; fusion is reapplied per the
-   process-wide toggle. *)
+   unfused base form is what persists; fusion is applied on top. *)
 let flat_form t meth_id meth =
   match t.flat_forms.(meth_id) with
   | Some p -> p
@@ -628,10 +627,7 @@ let flat_form t meth_id meth =
                 Codecache.store_flat cache ~meth p;
                 p)
       in
-      let p =
-        if Flat_cache.fuse_enabled () then Tessera_flat.Prog.fuse base
-        else base
-      in
+      let p = Flat_cache.fuse base in
       t.flat_forms.(meth_id) <- Some p;
       p
 

@@ -81,11 +81,11 @@ val connect :
     handshake cannot be completed the client still returns — with the
     breaker open, so every prediction falls back until a later half-open
     ping finds the server alive.  [lockstep], when given, is run between
-    sending a request and reading the response — in-process setups use
-    it to run one {!Server.step} on the other endpoint of an in-memory
-    pipe.  Also sets [SIGPIPE] to ignore (where supported), so a peer
-    dying mid-write surfaces as a counted fallback instead of killing
-    the process. *)
+    sending a request and reading the response — in-process setups pass
+    {!Serve.lockstep} to run one serving tick on the other endpoint of
+    an in-memory pipe.  Also sets [SIGPIPE] to ignore (where supported),
+    so a peer dying mid-write surfaces as a counted fallback instead of
+    killing the process. *)
 
 val predict :
   t ->

@@ -77,12 +77,11 @@ let slurp t limit =
 let default_pump_bytes = 1 lsl 16
 
 (* Decode every complete frame out of [inbuf].  Garbage and malformed
-   frames follow {!Message.recv}'s resync discipline — hunt byte-by-byte
-   for the next magic on a bounded budget — except the budget here spans
-   the bytes between two {e good} frames (refilled on every decoded
-   message) and exhaustion closes the connection instead of raising:
-   one byzantine peer must cost a bounded amount of scanning, never an
-   unbounded stall of the shared loop. *)
+   frames are resynchronized by hunting byte-by-byte for the next magic
+   on a bounded budget that spans the bytes between two {e good} frames
+   (refilled on every decoded message); exhaustion closes the
+   connection: one byzantine peer must cost a bounded amount of
+   scanning, never an unbounded stall of the shared loop. *)
 let pump ?(max_bytes = default_pump_bytes) ?(max_frames = max_int) t =
   if t.state = Closed then []
   else begin

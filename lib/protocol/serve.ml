@@ -85,9 +85,9 @@ type pending = {
 
 type worker = { wid : int; mutable predict : batch_predictor }
 
-(* process-wide serving metrics, exported alongside the old Server's
-   counters; idempotent registration means several engines in one
-   process (tests, the in-process bench fleet) share them *)
+(* process-wide serving metrics; idempotent registration means several
+   engines in one process (tests, the in-process bench fleet) share
+   them *)
 let latency_buckets = [| 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0 |]
 
 let m_conns =
@@ -293,6 +293,7 @@ let handle_msg t conn (m : Message.t) =
   | Message.Init _ -> Conn.send conn Message.Init_ok
   | Message.Ping -> Conn.send conn Message.Pong
   | Message.Stats_req -> (
+      if !Trace.enabled then Trace.instant ~cat:"protocol" "stats_request";
       match t.cfg.stats () with
       | s -> Conn.send conn (Message.Stats_text s)
       | exception e ->
@@ -483,10 +484,60 @@ let finish_drain ?deadline_s t =
   clean
 
 (* ------------------------------------------------------------------ *)
-(* Descriptor-backed serving: the accept/select loop of tessera_server *)
+(* In-process lockstep: one tick per client exchange                   *)
 (* ------------------------------------------------------------------ *)
 
-let serve_fds ?(select_timeout_s = 0.05) t ~listen ~wrap ~stop =
+let lockstep t ch =
+  (* the engine may close its connection (shutdown, strike-out, or a
+     simulated crash), but the pipe stays open: a revived server picks
+     the conversation back up on the same channel by re-accepting it *)
+  let ch = Channel.wrap ~on_close:ignore ch in
+  fun () ->
+    if connection_count t = 0 then ignore (accept t ch);
+    ignore (tick t)
+
+(* ------------------------------------------------------------------ *)
+(* Descriptor-backed serving: the select loop of tessera_server        *)
+(* ------------------------------------------------------------------ *)
+
+(* Select on the open connections, plus an optional listening descriptor
+   and its accept handler, and tick until [stop ()]; then drain. *)
+let select_loop ~select_timeout_s t ~listen ~stop =
+  while not (stop ()) do
+    let fds =
+      Option.to_list (Option.map fst listen)
+      @ List.filter_map
+          (fun conn ->
+            (* a connection at its queue bound is left unpolled: its
+               bytes wait in the kernel buffer — backpressure *)
+            if Conn.state conn = Conn.Active
+               && Conn.queued conn < t.cfg.per_conn_queue then
+              Conn.read_fd conn
+            else None)
+          t.conns
+    in
+    (* wake immediately on input, or on the timeout while the queue is
+       non-empty (dispatch continues even when no new bytes arrive) *)
+    let timeout = if t.qlen > 0 then 0.0 else select_timeout_s in
+    (match Unix.select fds [] [] timeout with
+    | readable, _, _ -> (
+        match listen with
+        | Some (fd, accept_pending) when List.memq fd readable ->
+            accept_pending ()
+        | _ -> ())
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error (Unix.EBADF, _, _) ->
+        (* a peer closed between roster snapshot and select: the next
+           tick retires the connection *)
+        ());
+    ignore (tick t)
+  done;
+  finish_drain t
+
+let default_select_timeout_s = 0.05
+
+let serve_fds ?(select_timeout_s = default_select_timeout_s) t ~listen ~wrap
+    ~stop =
   Unix.set_nonblock listen;
   let accept_pending () =
     let continue = ref true in
@@ -498,29 +549,11 @@ let serve_fds ?(select_timeout_s = 0.05) t ~listen ~wrap ~stop =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     done
   in
-  while not (stop ()) do
-    let fds =
-      listen
-      :: List.filter_map
-           (fun conn ->
-             (* a connection at its queue bound is left unpolled: its
-                bytes wait in the kernel buffer — backpressure *)
-             if Conn.state conn = Conn.Active
-                && Conn.queued conn < t.cfg.per_conn_queue then
-               Conn.read_fd conn
-             else None)
-           t.conns
-    in
-    (* wake immediately on input, or on the timeout while the queue is
-       non-empty (dispatch continues even when no new bytes arrive) *)
-    let timeout = if t.qlen > 0 then 0.0 else select_timeout_s in
-    (match Unix.select fds [] [] timeout with
-    | readable, _, _ -> if List.memq listen readable then accept_pending ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (Unix.EBADF, _, _) ->
-        (* a peer closed between roster snapshot and select: the next
-           tick retires the connection *)
-        ());
-    ignore (tick t)
-  done;
-  finish_drain t
+  select_loop ~select_timeout_s t ~listen:(Some (listen, accept_pending)) ~stop
+
+let serve_channel t ch ~stop =
+  match accept t ch with
+  | None -> finish_drain t
+  | Some conn ->
+      select_loop ~select_timeout_s:default_select_timeout_s t ~listen:None
+        ~stop:(fun () -> stop () || Conn.state conn = Conn.Closed)

@@ -1,9 +1,8 @@
-(** Concurrent multi-client model serving.
+(** Model serving: the one server state machine of the protocol.
 
-    Where {!Server} answers one blocking channel, [Serve] multiplexes
-    many {!Conn}s through a non-blocking engine designed around
-    robustness: bounded per-connection and global request queues with
-    real backpressure (a connection at its bound is simply not read),
+    [Serve] multiplexes {!Conn}s through a non-blocking engine designed
+    around robustness: bounded per-connection and global request queues
+    with real backpressure (a connection at its bound is simply not read),
     load-shedding past a high-water mark (answered with
     {!Message.Overloaded}, never silence, so client circuit breakers
     trip cleanly), per-connection error budgets (a byzantine peer is
@@ -13,12 +12,16 @@
     are restarted from a factory on crash without dropping any
     connection, and a deadline-bounded graceful drain.
 
-    The engine is driven by {!tick} — one bounded scheduling round —
-    so in-process fleets (tests, [bench serve]) run it deterministically
-    in lockstep, while {!serve_fds} wraps it in a [select] accept loop
-    for socket deployments.  Everything is instrumented through
-    {!Tessera_obs.Metrics.default} ([serve_*] gauges, counters, and the
-    [serve_latency_seconds] histogram). *)
+    The engine is driven by {!tick} — one bounded scheduling round.
+    Every transport is a front end to that one engine, with one error
+    budget and one metrics surface: in-process fleets (tests,
+    [bench serve]) tick it deterministically, {!lockstep} runs one tick
+    per exchange of an in-process client, {!serve_fds} wraps it in a
+    [select] accept loop for socket deployments, and {!serve_channel}
+    runs the same loop over one connection (the paper's named pipes).
+    Everything is instrumented through {!Tessera_obs.Metrics.default}
+    ([serve_*] gauges, counters, and the [serve_latency_seconds]
+    histogram). *)
 
 type batch_predictor =
   level:Tessera_opt.Plan.level ->
@@ -106,6 +109,20 @@ val serve_fds :
 (** Accept/select loop over a listening socket until [stop ()], then
     {!finish_drain}.  [wrap] interposes on every accepted channel (the
     fault injector hooks in here).  Returns the drain verdict. *)
+
+val serve_channel : t -> Channel.t -> stop:(unit -> bool) -> bool
+(** {!accept} one channel and run the {!serve_fds} loop over it until
+    that connection closes or [stop ()], then {!finish_drain}.  Returns
+    the drain verdict. *)
+
+val lockstep : t -> Channel.t -> unit -> unit
+(** [lockstep t ch] is a [Client.connect ~lockstep] hook for an
+    in-process client whose server end is [ch]: each call runs one
+    {!tick}, first accepting [ch] whenever the engine holds no open
+    connection.  Closing the engine's connection never closes [ch], so
+    a server that crashes (a fault injector's [crash_after]) and
+    revives on the same pipe is re-accepted, exactly like a restarted
+    model process the compiler reconnects to. *)
 
 val counters : t -> counters
 val queue_depth : t -> int

@@ -350,6 +350,67 @@ let test_fork_spans () =
   Alcotest.(check int) "branches add up" stats.Collector.branches
     (sum "branches")
 
+(* A branch requests every member's compilation at once, so a group's
+   later members wait in the compile queue behind the earlier ones and
+   keep running their old code meanwhile.  A member's record charges
+   only samples taken after its candidate installs: with one-invocation
+   branches, a fork point can therefore hold no more records than
+   branch installs of its (method, level) were traced inside the fork
+   spans — a record per branch regardless of install is exactly the
+   pre-install leak. *)
+let test_fork_records_after_install () =
+  let module Trace = Tessera_obs.Trace in
+  Trace.enable ();
+  let archive, stats, installs =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.disable ();
+        Trace.reset ();
+        Trace.clear_cycle_source ())
+      (fun () ->
+        let archive, stats = run_fork_config ~uses:1 () in
+        let installs = Hashtbl.create 16 in
+        let depth = ref 0 in
+        List.iter
+          (fun (e : Trace.event) ->
+            let str k =
+              match List.assoc_opt k e.Trace.args with
+              | Some (Trace.Str s) -> s
+              | _ -> ""
+            in
+            match (e.Trace.name, e.Trace.ph) with
+            | "fork", Trace.Span_begin -> incr depth
+            | "fork", Trace.Span_end -> decr depth
+            | "install", Trace.Instant when !depth > 0 ->
+                let k = (str "meth", str "level") in
+                Hashtbl.replace installs k
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt installs k))
+            | _ -> ())
+          (Trace.events ());
+        (archive, stats, installs))
+  in
+  Alcotest.(check bool) "grouped branches ran" true
+    (stats.Collector.branch_runs < stats.Collector.branches);
+  let records = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Record.t) ->
+      let k =
+        ( Dictionary.find archive.Archive.dictionary r.Record.sig_id,
+          Plan.level_name r.Record.level )
+      in
+      Hashtbl.replace records k
+        (1 + Option.value ~default:0 (Hashtbl.find_opt records k)))
+    archive.Archive.records;
+  Alcotest.(check bool) "some fork point recorded" true
+    (Hashtbl.length records > 0);
+  Hashtbl.iter
+    (fun ((meth, level) as k) n ->
+      let installed = Option.value ~default:0 (Hashtbl.find_opt installs k) in
+      if n > installed then
+        Alcotest.failf "%s@%s: %d records but %d branch installs" meth level n
+          installed)
+    records
+
 (* A fork group holds at most one decision per method, so both of a
    method's levels are never requested in one branch: the second waits
    for the next boundary — like a decision whose trunk install is still
@@ -418,6 +479,8 @@ let suite =
     Alcotest.test_case "fork group defers same-method decision" `Quick
       test_fork_group_defers_same_method;
     Alcotest.test_case "fork spans per boundary" `Slow test_fork_spans;
+    Alcotest.test_case "fork records only post-install samples" `Slow
+      test_fork_records_after_install;
     Alcotest.test_case "fork jobs invariance" `Slow test_fork_jobs_invariant;
     QCheck_alcotest.to_alcotest (test_fork_oracle ());
   ]

@@ -7,7 +7,8 @@ open Helpers
 module Channel = Tessera_protocol.Channel
 module Message = Tessera_protocol.Message
 module Tracectx = Tessera_protocol.Tracectx
-module Server = Tessera_protocol.Server
+module Conn = Tessera_protocol.Conn
+module Serve = Tessera_protocol.Serve
 module Client = Tessera_protocol.Client
 module Spec = Tessera_faults.Spec
 module Injector = Tessera_faults.Injector
@@ -147,13 +148,19 @@ let test_bit_flips_never_decode () =
       done)
     messages
 
+(* the server side of the wire: a connection's pump resynchronizes on
+   the next frame magic, on a bounded budget *)
+let pumped_msgs conn =
+  List.filter_map (function Conn.Msg m -> Some m | _ -> None) (Conn.pump conn)
+
 let test_resync_recovers () =
   let a, b = Channel.pipe_pair () in
+  let conn = Conn.create ~id:0 b in
   (* leading garbage (no magic byte), then a valid frame *)
   Channel.write a "\x00\x13\x99\xfe";
   Message.send a Message.Ping;
-  Alcotest.check msg_testable "recovered after garbage" Message.Ping
-    (Message.recv b);
+  Alcotest.(check (list msg_testable)) "recovered after garbage"
+    [ Message.Ping ] (pumped_msgs conn);
   (* a corrupted frame followed by a valid one: the bad frame is
      discarded and the stream resynchronizes on the next magic byte *)
   let bad = Bytes.of_string (Message.encode Message.Pong) in
@@ -161,21 +168,34 @@ let test_resync_recovers () =
   Bytes.set bad last (Char.chr (Char.code (Bytes.get bad last) lxor 1));
   Channel.write a (Bytes.to_string bad);
   Message.send a (Message.Init { model_name = "x" });
-  Alcotest.check msg_testable "skipped corrupted frame"
-    (Message.Init { model_name = "x" })
-    (Message.recv b)
+  Alcotest.(check (list msg_testable)) "skipped corrupted frame"
+    [ Message.Init { model_name = "x" } ]
+    (pumped_msgs conn);
+  Alcotest.(check bool) "both errors struck" true (Conn.strikes conn >= 2);
+  Alcotest.(check bool) "still active" true (Conn.state conn = Conn.Active)
 
 let test_resync_budget_exhausted () =
   let a, b = Channel.pipe_pair () in
+  let conn = Conn.create ~resync_budget:16 ~id:0 b in
   Channel.write a (String.make 64 '\x00');
-  match Message.recv ~resync_budget:16 b with
-  | _ -> Alcotest.fail "recv returned from pure garbage"
-  | exception Message.Malformed _ -> ()
+  Alcotest.(check (list msg_testable)) "nothing decoded from pure garbage" []
+    (pumped_msgs conn);
+  Alcotest.(check bool) "connection closed" true (Conn.state conn = Conn.Closed)
 
 (* ---------- client resilience ---------- *)
 
 let lockstep_config =
   { Client.default_config with Client.log = ignore }
+
+(* a serving engine that answers each request with its feature count *)
+let length_server () =
+  Serve.create
+    ~make_predictor:(fun _ ~level:_ rows ->
+      Array.map
+        (fun (features : float array) ->
+          Modifier.of_disabled [ Array.length features mod 58 ])
+        rows)
+    ()
 
 (* A full client/server session over an in-memory pipe pair with
    injectors on both endpoints, advanced in lockstep. *)
@@ -187,13 +207,7 @@ let session ?(config = lockstep_config) ?(requests = 40) ~spec ~seed () =
   in
   let server_ch = Injector.wrap_channel server_inj server_raw in
   let client_ch = Injector.wrap_channel client_inj client_raw in
-  let predictor ~level:_ ~features =
-    Modifier.of_disabled [ Array.length features mod 58 ]
-  in
-  let lockstep () =
-    try ignore (Server.step server_ch predictor)
-    with Channel.Closed | Channel.Timeout -> ()
-  in
+  let lockstep = Serve.lockstep (length_server ()) server_ch in
   let client = Client.connect ~model_name:"faulty" ~lockstep ~config client_ch in
   let outcomes =
     List.init requests (fun i ->
@@ -436,13 +450,7 @@ let test_engine_over_faulty_protocol () =
       in
       let server_ch = Injector.wrap_channel server_inj server_raw in
       let client_ch = Injector.wrap_channel client_inj client_raw in
-      let predictor ~level:_ ~features =
-        Modifier.of_disabled [ Array.length features mod 58 ]
-      in
-      let lockstep () =
-        try ignore (Server.step server_ch predictor)
-        with Channel.Closed | Channel.Timeout -> ()
-      in
+      let lockstep = Serve.lockstep (length_server ()) server_ch in
       let client =
         Client.connect ~model_name:"e2e" ~lockstep ~config:lockstep_config
           client_ch

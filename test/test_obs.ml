@@ -10,7 +10,7 @@ module Export = Tessera_obs.Export
 module Engine = Tessera_jit.Engine
 module Channel = Tessera_protocol.Channel
 module Message = Tessera_protocol.Message
-module Server = Tessera_protocol.Server
+module Serve = Tessera_protocol.Serve
 module Client = Tessera_protocol.Client
 module Modifier = Tessera_modifiers.Modifier
 module Plan = Tessera_opt.Plan
@@ -405,11 +405,26 @@ let test_engine_metrics_view () =
 
 let test_server_stats () =
   let server_ch, client_ch = Channel.pipe_pair () in
-  let predictor ~level:_ ~features:_ = Modifier.null in
-  let lockstep () = ignore (Server.step server_ch predictor) in
+  let server =
+    Serve.create
+      ~make_predictor:(fun _ ~level:_ rows ->
+        Array.map (fun _ -> Modifier.null) rows)
+      ()
+  in
+  let lockstep = Serve.lockstep server server_ch in
   let client = Client.connect ~model_name:"test" ~lockstep client_ch in
   ignore (Client.predict client ~level:Plan.Cold ~features:[| 1.0 |]);
-  match Client.stats client with
+  let stats, requests_traced =
+    with_trace @@ fun () ->
+    let stats = Client.stats client in
+    ( stats,
+      List.exists
+        (fun (e : Trace.event) ->
+          e.Trace.cat = "protocol" && e.Trace.name = "stats_request")
+        (Trace.events ()) )
+  in
+  Alcotest.(check bool) "stats request traced" true requests_traced;
+  match stats with
   | None -> Alcotest.fail "stats round trip failed"
   | Some text ->
       let mentions s =
@@ -419,10 +434,10 @@ let test_server_stats () =
         in
         go 0
       in
-      Alcotest.(check bool) "server counts requests" true
-        (mentions "server_requests_total");
+      Alcotest.(check bool) "server counts connections" true
+        (mentions "serve_accepted_total");
       Alcotest.(check bool) "server counts predictions" true
-        (mentions "server_predictions_total")
+        (mentions "serve_predictions_total")
 
 (* ------------------------------------------------------------------ *)
 (* Log                                                                  *)

@@ -1,7 +1,7 @@
 module Channel = Tessera_protocol.Channel
 module Message = Tessera_protocol.Message
 module Tracectx = Tessera_protocol.Tracectx
-module Server = Tessera_protocol.Server
+module Serve = Tessera_protocol.Serve
 module Client = Tessera_protocol.Client
 module Modifier = Tessera_modifiers.Modifier
 module Plan = Tessera_opt.Plan
@@ -63,31 +63,37 @@ let test_malformed_detected () =
 let test_server_client_session () =
   let server_ch, client_ch = Channel.pipe_pair () in
   let served = ref 0 in
-  let predictor ~level ~features =
-    incr served;
-    ignore level;
-    Modifier.of_disabled [ Array.length features mod 58 ]
+  let failing = ref false in
+  let predictor _wid ~level:_ rows =
+    if !failing then failwith "model exploded";
+    Array.map
+      (fun (features : float array) ->
+        incr served;
+        Modifier.of_disabled [ Array.length features mod 58 ])
+      rows
   in
-  let lockstep () = ignore (Server.step server_ch predictor) in
+  let server = Serve.create ~make_predictor:predictor () in
+  let lockstep = Serve.lockstep server server_ch in
   let client = Client.connect ~model_name:"test" ~lockstep client_ch in
   Alcotest.(check bool) "ping" true (Client.ping client);
   let m = Client.predict client ~level:Plan.Hot ~features:(Array.make 5 0.1) in
   Alcotest.(check (list int)) "predicted modifier" [ 5 ]
     (Modifier.disabled_indices m);
   Alcotest.(check int) "served one predict" 1 !served;
-  (* a predictor exception becomes Error_msg and the client falls back *)
-  let failing ~level:_ ~features:_ = failwith "model exploded" in
-  let lockstep_fail () = ignore (Server.step server_ch failing) in
+  (* a predictor exception (on the restarted worker too) becomes
+     Error_msg and the client falls back *)
+  failing := true;
   Message.send client_ch
     (Message.Predict { level = Plan.Hot; features = [||]; trace = Tracectx.none });
-  lockstep_fail ();
+  lockstep ();
   (match Message.decode_from client_ch with
   | Message.Error_msg _ -> ()
   | other -> Alcotest.fail (Format.asprintf "expected error, got %a" Message.pp other));
-  (* shutdown stops the loop *)
+  (* shutdown closes the connection *)
   Message.send client_ch Message.Shutdown;
-  Alcotest.(check bool) "step returns false on shutdown" false
-    (Server.step server_ch predictor)
+  ignore (Serve.tick server);
+  Alcotest.(check int) "no open connection after shutdown" 0
+    (Serve.connection_count server)
 
 let test_fifo_two_process () =
   let dir = Filename.get_temp_dir_name () in
@@ -102,9 +108,17 @@ let test_fifo_two_process () =
       | 0 ->
           (* child: echo server over real named pipes *)
           let ch = open_a () in
-          Server.serve ch (fun ~level:_ ~features ->
-              Modifier.of_disabled [ Array.length features ]);
-          Unix._exit 0
+          let server =
+            Serve.create
+              ~make_predictor:(fun _ ~level:_ rows ->
+                Array.map
+                  (fun (features : float array) ->
+                    Modifier.of_disabled [ Array.length features ])
+                  rows)
+              ()
+          in
+          let clean = Serve.serve_channel server ch ~stop:(fun () -> false) in
+          Unix._exit (if clean then 0 else 1)
       | pid ->
           let ch = open_b () in
           let client = Client.connect ~model_name:"fifo" ch in

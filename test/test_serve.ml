@@ -8,7 +8,6 @@ module Message = Tessera_protocol.Message
 module Tracectx = Tessera_protocol.Tracectx
 module Conn = Tessera_protocol.Conn
 module Serve = Tessera_protocol.Serve
-module Server = Tessera_protocol.Server
 module Client = Tessera_protocol.Client
 module Spec = Tessera_faults.Spec
 module Injector = Tessera_faults.Injector
@@ -354,33 +353,44 @@ let test_isolation_property () =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Server (single-channel) session strikes and client Overloaded        *)
+(* Single-channel lockstep strikes and client Overloaded               *)
 (* ------------------------------------------------------------------ *)
 
 let test_server_step_session_strikes () =
   let server_ch, client_ch = Channel.pipe_pair () in
-  let predictor ~level:_ ~features:_ = Modifier.null in
-  let session = Server.session ~max_protocol_errors:2 () in
-  (* two unexpected messages are answered and tolerated *)
+  let engine =
+    mk_engine
+      ~config:{ Serve.default_config with Serve.max_protocol_errors = 2 }
+      ()
+  in
+  let lockstep = Serve.lockstep engine server_ch in
+  (* framing errors and unexpected frames draw on one budget: garbage
+     is the first strike, an unexpected frame the second *)
+  Channel.write client_ch "not a frame";
+  lockstep ();
   Message.send client_ch Message.Pong;
-  Alcotest.(check bool) "first strike tolerated" true
-    (Server.step ~session server_ch predictor);
+  lockstep ();
+  Alcotest.(check int) "two strikes tolerated" 1 (Serve.connection_count engine);
+  (* the third exhausts the budget: the connection is closed *)
   Message.send client_ch Message.Pong;
-  Alcotest.(check bool) "second strike tolerated" true
-    (Server.step ~session server_ch predictor);
-  (* the third exhausts the budget: the step loop ends *)
-  Message.send client_ch Message.Pong;
-  Alcotest.(check bool) "third strike ends the session" false
-    (Server.step ~session server_ch predictor);
-  Alcotest.(check int) "strikes counted" 3 (Server.strikes session);
-  (* three "unexpected message" answers plus the final "budget
-     exhausted" goodbye *)
+  lockstep ();
+  Alcotest.(check int) "third strike closes the connection" 0
+    (Serve.connection_count engine);
+  let c = Serve.counters engine in
+  Alcotest.(check int) "strikes counted" 3 c.Serve.strikes;
+  Alcotest.(check int) "struck out once" 1 c.Serve.struck_out;
+  (* two "unexpected message" answers plus the final "budget exhausted"
+     goodbye *)
   let replies = drain_replies client_ch in
-  Alcotest.(check int) "every strike answered with Error_msg" 4
+  Alcotest.(check int) "every unexpected frame answered, then goodbye" 3
     (List.length
        (List.filter
           (function Message.Error_msg _ -> true | _ -> false)
-          replies))
+          replies));
+  Alcotest.(check bool) "goodbye comes last" true
+    (match List.rev replies with
+    | Message.Error_msg "protocol error budget exhausted" :: _ -> true
+    | _ -> false)
 
 let test_client_overloaded_fallback () =
   let server_ch, client_ch = Channel.pipe_pair () in
